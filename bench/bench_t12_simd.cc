@@ -2,14 +2,14 @@
 //
 // Per-kernel scalar-vs-dispatched A/B over the four hot loops the kernel
 // table serves — agree_modulo word/lane compares, erase-one fingerprint
-// rows, DenseBitset bulk sweeps, and the BFS frontier-advance step behind
-// Graph::diameter — plus an end-to-end n=8 explore + similarity + diameter
-// workload per table. Benchmarks are registered once per kernel table the
-// host can execute (always "scalar"; "avx2"/"neon" where supported), so
-// names stay stable per host family and the ci.sh baseline gate compares
-// like with like. The printed T12 table reports the per-kernel speedup of
-// each dispatched table over scalar; the identity of the *results* is the
-// tests' job (tests/simd_test.cc), not this harness's.
+// rows, DenseBitset bulk sweeps, and the bitmap BFS frontier-advance step
+// (DenseBitset::drain_fresh_into) — plus an end-to-end n=8 explore +
+// similarity + diameter workload per table. Benchmarks are registered once
+// per kernel table the host can execute (always "scalar"; "avx2"/"neon"
+// where supported), so names stay stable per host family and the ci.sh
+// baseline gate compares like with like. The printed T12 table reports the
+// per-kernel speedup of each dispatched table over scalar; the identity of
+// the *results* is the tests' job (tests/simd_test.cc), not this harness's.
 #include <benchmark/benchmark.h>
 
 #include "bench_flags.hpp"
@@ -144,7 +144,7 @@ FrontierPayload make_frontier() {
   p.visited0.assign(kBitWords, 0);
   std::mt19937_64 rng(0x7431325f73696dULL);
   // A sparse wave over a mostly-unvisited space: ~1/16 of the words carry
-  // frontier bits, matching the mid-BFS shape of the diameter sweeps.
+  // frontier bits, the shape of a BFS mid-sweep.
   for (std::size_t i = 0; i < kBitWords / 16; ++i) {
     p.next0[rng() % kBitWords] = rng();
     p.visited0[rng() % kBitWords] = rng();

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 
 #include "analysis/reports.hpp"
@@ -52,8 +53,12 @@ std::vector<std::vector<StateId>> graded_levels(SyncModel& model, int depth) {
 
 void print_table() {
   Table table({"n", "t", "layering", "round m", "|states|",
-               "measured s-diam", "bound d_X^m", "within bound"});
+               "measured s-diam", "bfs_sources", "bound d_X^m",
+               "within bound"});
   auto rule = never_decide();
+  // BFS runs of each s-diameter: the relation.diameter_sources delta.
+  auto& sources =
+      runtime::Stats::global().counter("relation.diameter_sources");
   struct Config {
     int n;
     int t;
@@ -64,7 +69,9 @@ void print_table() {
       SyncModel model(cfg.n, cfg.t, *rule, {}, lay);
       const auto levels = graded_levels(model, cfg.t);
       for (std::size_t m = 0; m < levels.size(); ++m) {
+        const std::uint64_t sources0 = sources.value();
         const auto diam = s_diameter(model, levels[m]);
+        const std::uint64_t bfs_runs = sources.value() - sources0;
         const long long bound =
             diameter_bound(cfg.n, static_cast<int>(m), cfg.n);
         const long long measured = diam ? static_cast<long long>(*diam) : -1;
@@ -74,7 +81,8 @@ void print_table() {
              lay == SyncLayering::kOnePerRound ? "S^t (1/round)" : "full round",
              cell(static_cast<long long>(m)),
              cell(static_cast<long long>(levels[m].size())),
-             diam ? cell(measured) : "disconnected", cell(bound),
+             diam ? cell(measured) : "disconnected",
+             cell(static_cast<long long>(bfs_runs)), cell(bound),
              cell(diam && measured <= bound)});
       }
     }

@@ -58,6 +58,15 @@ run_config() {
       LACON_SYMMETRY=on \
         "$dir/tests/$soak_bin" --gtest_brief=1
     done
+    # relation_test rides along for the guarded eccentricity-bounding
+    # diameter: its FaultSoak case trips the per-BFS guard probe at seeded
+    # points. It runs without LACON_SYMMETRY=on because its hand-built
+    # message-passing fixtures compare raw states coordinate by coordinate,
+    # which the orbit quotient rewrites by design.
+    LACON_FAULT_SEED="${LACON_FAULT_SEED:-20260805}" \
+    LACON_FAULT_RATE="${LACON_FAULT_RATE:-0.05}" \
+    LACON_TRACE=spans \
+      "$dir/tests/relation_test" --gtest_brief=1
     # Kill-and-recover soak: SIGKILL a WAL-enabled daemon mid-workload and
     # assert the restart serves byte-identical responses with zero
     # re-interns (examples/crash_recover.cc). The harness parent stays

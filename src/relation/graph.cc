@@ -15,6 +15,8 @@ namespace lacon {
 namespace {
 
 constexpr std::size_t kUnreached = std::numeric_limits<std::size_t>::max();
+// BfsScratch::dist entry of a vertex the BFS did not reach.
+constexpr Graph::Vertex kFar = std::numeric_limits<Graph::Vertex>::max();
 
 // Unordered pairs (a, b), a < b, of {0..size-1} are flattened
 // lexicographically; row a starts at pair index a*(2*size - a - 1)/2.
@@ -121,58 +123,40 @@ std::span<const Graph::Vertex> Graph::neighbors(std::size_t v) const {
                                  offsets_[v + 1] - offsets_[v]);
 }
 
-std::vector<std::size_t> Graph::bfs_distances(std::size_t source) const {
-  // Callers hold a finalized CSR (ensure_csr() ran before any parallel
-  // fan-out), so this reads offsets_/csr_ directly.
-  std::vector<std::size_t> dist(size(), kUnreached);
-  std::queue<std::size_t> queue;
-  dist[source] = 0;
-  queue.push(source);
-  while (!queue.empty()) {
-    const std::size_t v = queue.front();
-    queue.pop();
-    for (std::size_t i = offsets_[v]; i < offsets_[v + 1]; ++i) {
-      const std::size_t w = csr_[i];
-      if (dist[w] == kUnreached) {
-        dist[w] = dist[v] + 1;
-        queue.push(w);
-      }
-    }
-  }
-  return dist;
-}
-
-std::size_t Graph::bfs_eccentricity(std::size_t source,
-                                    EccScratch& s) const {
+std::size_t Graph::bfs(std::size_t source, BfsScratch& s) const {
   const std::size_t n = size();
-  s.visited.reset(n);
-  s.next.reset(n);
-  s.frontier.resize(n);  // a level is at most the whole vertex set
-  s.visited.mark(source);
-  s.frontier[0] = static_cast<Vertex>(source);
-  std::size_t frontier_len = 1;
-  std::size_t reached = 1;
-  std::size_t levels = 0;
-  while (frontier_len != 0) {
-    for (std::size_t i = 0; i < frontier_len; ++i) {
-      const Vertex v = s.frontier[i];
+  s.dist.assign(n, kFar);
+  s.order.resize(n);
+  s.dist[source] = 0;
+  s.order[0] = static_cast<Vertex>(source);
+  std::size_t head = 0;
+  std::size_t tail = 1;
+  Vertex level = 0;
+  while (true) {
+    // order[head, level_end) is the current level; its fresh neighbors are
+    // appended behind it as the next one.
+    const std::size_t level_end = tail;
+    for (; head < level_end; ++head) {
+      const Vertex v = s.order[head];
       for (std::size_t e = offsets_[v]; e < offsets_[v + 1]; ++e) {
-        s.next.mark(csr_[e]);
+        const Vertex w = csr_[e];
+        if (s.dist[w] == kFar) {
+          s.dist[w] = level + 1;
+          s.order[tail++] = w;
+        }
       }
     }
-    frontier_len = s.next.drain_fresh_into(s.visited, s.frontier.data());
-    if (frontier_len == 0) break;
-    ++levels;
-    reached += frontier_len;
+    if (tail == level_end) break;
+    ++level;
   }
-  return reached == n ? levels : kUnreached;
+  return tail == n ? level : kUnreached;
 }
 
 bool Graph::connected() const {
   if (size() <= 1) return true;
   ensure_csr();
-  EccScratch scratch;
-  return bfs_eccentricity(0, scratch) != kUnreached;
+  BfsScratch scratch;
+  return bfs(0, scratch) != kUnreached;
 }
 
 std::vector<std::size_t> Graph::components() const {
@@ -202,97 +186,87 @@ std::vector<std::size_t> Graph::components() const {
 guard::Partial<std::optional<std::size_t>> Graph::diameter(
     const guard::Guard& g) const {
   guard::Partial<std::optional<std::size_t>> out;
-  if (size() == 0) {
-    out.value = std::nullopt;
-    return out;
-  }
+  const std::size_t n = size();
+  if (n == 0) return out;
   ensure_csr();
   auto& stats = runtime::Stats::global();
   runtime::ScopedTimer timer(stats.timer("relation.diameter_time"));
-  LACON_TRACE_PHASE("relation", "diameter", size());
-  // Record every source's eccentricity, then fold only the completed prefix:
-  // a truncated value depends on [0, completed) alone, never on which
-  // straggler sources also happened to finish.
-  std::vector<std::size_t> ecc(size(), 0);
-  const std::size_t done =
-      runtime::parallel_for_guarded(g, size(), [&](std::size_t v) {
-        // One scratch per worker thread: the BFS bit sets and frontier are
-        // reset per source but their allocations persist across sources.
-        static thread_local EccScratch scratch;
-        ecc[v] = bfs_eccentricity(v, scratch);
-      });
-  stats.counter("relation.diameter_sources").add(done);
-  out.completed = done;
-  out.truncation = g.reason();
+  LACON_TRACE_PHASE("relation", "diameter", n);
+  // Eccentricity bounding (Takes & Kosters 2011): every vertex keeps
+  // lo[v] <= ecc(v) <= hi[v]. A BFS from s with eccentricity e tightens them
+  // to max(d, e - d) and e + d, d = dist(s, v). A vertex is settled once
+  // hi[v] <= best, the largest eccentricity seen: it cannot raise the
+  // maximum. When none is left active, best is exactly the diameter. The
+  // sources alternate between the active vertex of largest hi (a likely
+  // periphery vertex, raising best) and of smallest lo (a likely centre,
+  // lowering every hi); ties go to the lowest index, so the sequence — and
+  // hence any truncation point — depends on the graph alone.
+  std::vector<Vertex> lo(n, 0);
+  std::vector<Vertex> hi(n, kFar);
+  std::vector<Vertex> active(n);  // ascending vertex order, kept stable
+  for (std::size_t v = 0; v < n; ++v) active[v] = static_cast<Vertex>(v);
+  BfsScratch scratch;
   std::size_t best = 0;
-  for (std::size_t v = 0; v < done; ++v) {
-    if (ecc[v] == kUnreached) {
-      // One full BFS that misses a vertex proves disconnection; the answer
+  std::size_t runs = 0;
+  while (!active.empty() && !g.tripped()) {
+    Vertex source = active.front();
+    for (const Vertex v : active) {
+      if (runs % 2 == 0 ? hi[v] > hi[source] : lo[v] < lo[source]) {
+        source = v;
+      }
+    }
+    const std::size_t e = bfs(source, scratch);
+    ++runs;
+    if (e == kUnreached) {
+      // One BFS that misses a vertex proves disconnection; the answer
       // cannot change, so report it complete.
-      out.value = std::nullopt;
-      out.truncation = guard::TruncationReason::kNone;
-      out.completed = size();
+      stats.counter("relation.diameter_sources").add(runs);
+      out.completed = n;
       return out;
     }
-    best = std::max(best, ecc[v]);
+    best = std::max(best, e);
+    std::size_t kept = 0;
+    for (const Vertex v : active) {
+      const Vertex d = scratch.dist[v];
+      lo[v] = std::max({lo[v], d, static_cast<Vertex>(e - d)});
+      hi[v] = static_cast<Vertex>(std::min<std::size_t>(hi[v], e + d));
+      if (hi[v] > best) active[kept++] = v;
+    }
+    active.resize(kept);
   }
-  if (done > 0) out.value = best;  // no sources finished -> no bound at all
+  stats.counter("relation.diameter_sources").add(runs);
+  out.completed = n - active.size();
+  out.truncation = g.reason();
+  if (runs > 0) out.value = best;  // no BFS finished -> no bound at all
   return out;
 }
 
 std::optional<std::size_t> Graph::diameter() const {
-  const guard::GuardSpec& spec = guard::process_guard_spec();
-  if (spec.limited()) {
-    guard::ScopedGuard scoped(spec);
-    return diameter(scoped.get()).value;
-  }
-  if (size() == 0) return std::nullopt;
-  ensure_csr();
-  auto& stats = runtime::Stats::global();
-  runtime::ScopedTimer timer(stats.timer("relation.diameter_time"));
-  LACON_TRACE_PHASE("relation", "diameter", size());
-  stats.counter("relation.diameter_sources").add(size());
-  // Per-chunk eccentricity maxima, merged by max — commutative, so the
-  // result is the same for every worker count. kUnreached marks a
-  // disconnected chunk and dominates the merge.
-  const std::vector<std::size_t> partial =
-      runtime::parallel_map_chunks<std::size_t>(
-          size(), [&](std::size_t begin, std::size_t end) {
-            EccScratch scratch;  // reused across this chunk's sources
-            std::size_t best = 0;
-            for (std::size_t v = begin; v < end; ++v) {
-              const std::size_t e = bfs_eccentricity(v, scratch);
-              if (e == kUnreached) return kUnreached;
-              best = std::max(best, e);
-            }
-            return best;
-          });
-  std::size_t best = 0;
-  for (std::size_t p : partial) {
-    if (p == kUnreached) return std::nullopt;
-    best = std::max(best, p);
-  }
-  return best;
+  guard::ScopedGuard scoped(guard::process_guard_spec());
+  return diameter(scoped.get()).value;
 }
 
 std::optional<std::size_t> Graph::distance(std::size_t a, std::size_t b) const {
   ensure_csr();
-  const std::vector<std::size_t> dist = bfs_distances(a);
-  if (dist[b] == kUnreached) return std::nullopt;
-  return dist[b];
+  BfsScratch scratch;
+  bfs(a, scratch);
+  if (scratch.dist[b] == kFar) return std::nullopt;
+  return scratch.dist[b];
 }
 
 std::vector<std::size_t> Graph::shortest_path(std::size_t a,
                                               std::size_t b) const {
   // BFS from b so we can walk a -> b by strictly decreasing distance.
   ensure_csr();
-  const std::vector<std::size_t> dist = bfs_distances(b);
-  if (dist[a] == kUnreached) return {};
+  BfsScratch scratch;
+  bfs(b, scratch);
+  const std::vector<Vertex>& dist = scratch.dist;
+  if (dist[a] == kFar) return {};
   std::vector<std::size_t> path = {a};
   std::size_t cur = a;
   while (cur != b) {
     for (std::size_t w : neighbors(cur)) {
-      if (dist[w] + 1 == dist[cur]) {
+      if (std::size_t{dist[w]} + 1 == dist[cur]) {
         cur = w;
         path.push_back(w);
         break;

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "runtime/guard.hpp"
-#include "util/bitset.hpp"
 
 namespace lacon {
 
@@ -26,8 +25,7 @@ namespace lacon {
 //
 // Thread-safety: building (add_edge) and the *first* query finalize shared
 // state and must not race with other accesses; afterwards all queries are
-// const reads and safe to run concurrently (diameter() exploits this by
-// fanning the all-sources BFS out over the parallel runtime).
+// const reads and safe to run concurrently.
 class Graph {
  public:
   using Vertex = std::uint32_t;
@@ -65,18 +63,21 @@ class Graph {
   // order.
   std::vector<std::size_t> components() const;
 
-  // Diameter of the graph: the largest BFS eccentricity, computed by an
-  // all-sources BFS parallelized over source chunks (max-merge is
-  // order-independent, so the result is deterministic for every worker
-  // count). nullopt when the graph is disconnected (infinite diameter) or
-  // empty.
+  // Diameter of the graph: the largest BFS eccentricity, computed exactly
+  // by eccentricity bounding — BFS from a few sources until per-vertex
+  // bounds settle every vertex (graph.cc). Serial, so the BFS sequence and
+  // the result are the same for every worker count. nullopt when the graph
+  // is disconnected (infinite diameter) or empty. Applies the process-wide
+  // guard spec, if one is set.
   std::optional<std::size_t> diameter() const;
 
-  // Guarded diameter. `completed` counts BFS sources fully evaluated (a
-  // contiguous prefix of the vertex space); a truncated result's engaged
-  // value is the eccentricity maximum over exactly those sources — a lower
-  // bound on the true diameter. If any completed source proves the graph
-  // disconnected the answer (nullopt) is conclusive and the result is
+  // Guarded diameter; the guard is probed before each BFS. `completed`
+  // counts settled vertices — BFS sources plus vertices pruned by their
+  // bounds, not a prefix of the vertex space — and equals size() on a
+  // complete run. A truncated result's engaged value is the largest
+  // eccentricity found so far, a lower bound on the true diameter; no
+  // value when no BFS finished. The first BFS that misses a vertex proves
+  // the graph disconnected: that answer (nullopt) is conclusive and
   // reported complete even if the guard also tripped.
   guard::Partial<std::optional<std::size_t>> diameter(
       const guard::Guard& g) const;
@@ -88,28 +89,21 @@ class Graph {
   std::vector<std::size_t> shortest_path(std::size_t a, std::size_t b) const;
 
  private:
-  // Reusable per-thread buffers for bfs_eccentricity: the visited/next bit
-  // sets of the level-synchronous BFS plus the current frontier. reset()
-  // between sources keeps the allocations.
-  struct EccScratch {
-    DenseBitset visited;
-    DenseBitset next;
-    std::vector<Vertex> frontier;
+  // Buffers of bfs(), reused across sources so the allocations persist.
+  struct BfsScratch {
+    std::vector<Vertex> dist;   // max Vertex for unreached vertices
+    std::vector<Vertex> order;  // vertices in visiting order, level by level
   };
 
   // Rebuilds offsets_/csr_ from edge_list_ if edges were added since the
   // last build. Counting pass over degrees, prefix-sum, cursor fill.
   void ensure_csr() const;
-  std::vector<std::size_t> bfs_distances(std::size_t source) const;
 
-  // Eccentricity of `source` by level-synchronous bitmap BFS: mark every
-  // frontier neighbor into `next`, then one fused frontier_advance kernel
-  // step (fresh = next & ~visited; visited |= fresh; emit fresh indices)
-  // yields the following frontier. Level counts equal queue-BFS distances,
-  // so the value matches max(bfs_distances(source)) exactly; returns
-  // SIZE_MAX (kUnreached) when some vertex is unreachable. Requires a
-  // finalized CSR.
-  std::size_t bfs_eccentricity(std::size_t source, EccScratch& scratch) const;
+  // Level-synchronous BFS from `source` over the CSR rows: each level is a
+  // contiguous run of `order`, and the next level is appended behind it.
+  // Fills s.dist and returns the eccentricity of `source`, or SIZE_MAX
+  // when some vertex is unreachable. Requires a finalized CSR.
+  std::size_t bfs(std::size_t source, BfsScratch& s) const;
 
   std::size_t size_ = 0;
   std::vector<Edge> edge_list_;

@@ -1,7 +1,7 @@
 // Resource governance and cooperative cancellation (lacon::guard).
 //
 // Every analysis this repository runs — reachable_by_depth over the layered
-// run tree, the similarity index, all-sources diameter, valence
+// run tree, the similarity index, the s-diameter, valence
 // classification — is exponential in process count and depth. A Guard bounds
 // such a computation with a wall-clock deadline, a state/memory budget (read
 // off the StateArena/ViewArena accounting) and a cooperative cancellation
@@ -61,11 +61,12 @@ enum class TruncationReason : std::uint8_t {
 const char* to_string(TruncationReason reason) noexcept;
 
 // A possibly-truncated result. `completed` counts whole units of work —
-// layers for the exploration, classified entries for classify_all, BFS
-// sources for diameter(), confirmed candidate pairs for the similarity
-// index — and `value` always reflects exactly those units: a truncated
-// exploration holds complete levels only, a truncated classification holds
-// a valid prefix.
+// layers for the exploration, classified entries for classify_all,
+// settled vertices for diameter() (BFS sources plus vertices pruned by
+// their eccentricity bounds — not a prefix of the vertex space), confirmed
+// candidate pairs for the similarity index — and `value` always reflects
+// exactly those units: a truncated exploration holds complete levels only,
+// a truncated classification holds a valid prefix.
 template <typename T>
 struct Partial {
   T value{};

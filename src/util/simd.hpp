@@ -12,10 +12,10 @@
 //   (2) fingerprint_lanes — all n erase-one similarity fingerprints of a
 //       state in one pass over its lanes instead of n (core/model.cc).
 //   (3) bitset_or/and/andnot/popcount/find_first — DenseBitset bulk sweeps
-//       (util/bitset.hpp; explore seen-sets, diameter visited-sets).
-//   (4) frontier_advance — the fused CSR frontier-expansion step of the
-//       level-synchronous BFS behind Graph::diameter (relation/graph.cc):
-//       fresh = next & ~visited; visited |= fresh; emit fresh bit indices.
+//       (util/bitset.hpp; explore seen-sets).
+//   (4) frontier_advance — a fused bitmap BFS frontier step
+//       (DenseBitset::drain_fresh_into): fresh = next & ~visited;
+//       visited |= fresh; emit fresh bit indices.
 //
 // The scalar implementations below are the semantic definition; the AVX2 /
 // NEON implementations in runtime/simd_dispatch.cc must be bit-identical

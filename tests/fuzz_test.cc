@@ -7,6 +7,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <numeric>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "analysis/reports.hpp"
 #include "engine/explore.hpp"
@@ -16,6 +20,9 @@
 #include "runtime/fault.hpp"
 #include "runtime/guard.hpp"
 #include "util/hash.hpp"
+#include "util/rng.hpp"
+
+#include "diameter_oracle.hpp"
 
 namespace lacon {
 namespace {
@@ -170,6 +177,116 @@ TEST(FaultSoak, GuardedFuzzExplorationSurvivesInjection) {
       if (!partial.complete()) EXPECT_FALSE(sim.complete());
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Graph diameter differential fuzz: the bounded search against the
+// all-sources oracle on seeded graph families, each under a random vertex
+// relabeling and a random edge order — the bounding must hold for every
+// vertex order, not just the natural one.
+
+using EdgeList = std::vector<std::pair<std::size_t, std::size_t>>;
+
+Graph relabeled(std::size_t size, EdgeList edges, Rng& rng) {
+  std::vector<std::size_t> label(size);
+  std::iota(label.begin(), label.end(), std::size_t{0});
+  for (std::size_t i = size; i > 1; --i) {
+    std::swap(label[i - 1], label[rng.below(i)]);
+  }
+  for (std::size_t i = edges.size(); i > 1; --i) {
+    std::swap(edges[i - 1], edges[rng.below(i)]);
+  }
+  Graph g(size);
+  for (const auto& [a, b] : edges) g.add_edge(label[a], label[b]);
+  return g;
+}
+
+EdgeList path_edges(std::size_t size) {
+  EdgeList e;
+  for (std::size_t v = 0; v + 1 < size; ++v) e.emplace_back(v, v + 1);
+  return e;
+}
+
+EdgeList tree_edges(std::size_t first, std::size_t size, Rng& rng) {
+  EdgeList e;
+  for (std::size_t v = 1; v < size; ++v) {
+    e.emplace_back(first + rng.below(v), first + v);
+  }
+  return e;
+}
+
+TEST(FuzzDiameter, BoundedSearchEqualsAllSourcesOracle) {
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    Rng rng(seed);
+    const std::size_t size = 3 + rng.below(38);
+    const std::string tag = " seed " + std::to_string(seed);
+
+    expect_diameter_matches_oracle(relabeled(size, path_edges(size), rng),
+                                   "path" + tag);
+
+    EdgeList cycle = path_edges(size);
+    cycle.emplace_back(size - 1, 0);
+    expect_diameter_matches_oracle(relabeled(size, cycle, rng), "cycle" + tag);
+
+    const std::size_t w = 1 + rng.below(7);
+    const std::size_t h = 1 + rng.below(7);
+    EdgeList grid;
+    for (std::size_t r = 0; r < h; ++r) {
+      for (std::size_t c = 0; c < w; ++c) {
+        if (c + 1 < w) grid.emplace_back(r * w + c, r * w + c + 1);
+        if (r + 1 < h) grid.emplace_back(r * w + c, (r + 1) * w + c);
+      }
+    }
+    expect_diameter_matches_oracle(relabeled(w * h, grid, rng), "grid" + tag);
+
+    expect_diameter_matches_oracle(
+        relabeled(size, tree_edges(0, size, rng), rng), "tree" + tag);
+
+    EdgeList star;
+    for (std::size_t v = 1; v < size; ++v) star.emplace_back(0, v);
+    expect_diameter_matches_oracle(relabeled(size, star, rng), "star" + tag);
+
+    const std::size_t k = 1 + size % 12;
+    EdgeList complete;
+    for (std::size_t a = 0; a < k; ++a) {
+      for (std::size_t b = a + 1; b < k; ++b) complete.emplace_back(a, b);
+    }
+    expect_diameter_matches_oracle(relabeled(k, complete, rng),
+                                   "complete" + tag);
+
+    // Sparse random: a random spanning tree plus ~size/4 chords, and an
+    // Erdos-Renyi graph at mean degree ~2 (connected or not).
+    EdgeList sparse = tree_edges(0, size, rng);
+    for (std::size_t i = 0; i < size / 4; ++i) {
+      const std::size_t a = rng.below(size);
+      const std::size_t b = rng.below(size);
+      if (a != b) sparse.emplace_back(a, b);
+    }
+    expect_diameter_matches_oracle(relabeled(size, sparse, rng),
+                                   "sparse" + tag);
+    EdgeList er;
+    for (std::size_t a = 0; a < size; ++a) {
+      for (std::size_t b = a + 1; b < size; ++b) {
+        if (rng.below(size) < 2) er.emplace_back(a, b);
+      }
+    }
+    expect_diameter_matches_oracle(relabeled(size, er, rng), "gnp" + tag);
+
+    // Two trees side by side: disconnected, whatever vertex BFS starts at.
+    const std::size_t split = 1 + rng.below(size - 1);
+    EdgeList two = tree_edges(0, split, rng);
+    const EdgeList rest = tree_edges(split, size - split, rng);
+    two.insert(two.end(), rest.begin(), rest.end());
+    expect_diameter_matches_oracle(relabeled(size, two, rng),
+                                   "disconnected" + tag);
+  }
+
+  Rng rng(0);
+  for (std::size_t size = 0; size <= 2; ++size) {
+    expect_diameter_matches_oracle(relabeled(size, {}, rng),
+                                   "edgeless n=" + std::to_string(size));
+  }
+  expect_diameter_matches_oracle(relabeled(2, {{0, 1}}, rng), "K2");
 }
 
 }  // namespace

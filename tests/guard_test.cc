@@ -11,8 +11,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "analysis/reports.hpp"
@@ -27,6 +29,8 @@
 #include "runtime/guard.hpp"
 #include "runtime/parallel.hpp"
 #include "runtime/thread_pool.hpp"
+
+#include "diameter_oracle.hpp"
 
 namespace lacon {
 namespace {
@@ -425,6 +429,33 @@ TEST(GuardedDiameterTest, DisconnectionEvidenceIsConclusive) {
   const auto partial = g.diameter(guard);
   EXPECT_TRUE(partial.complete());
   EXPECT_FALSE(partial.value.has_value());
+}
+
+// A deterministic kGuardBudget trip mid-search: the guard is probed once
+// before each BFS, serially, so the trip lands at the same probe — hence the
+// same settled count and the same lower bound — at every worker count.
+TEST(GuardedDiameterTest, MidSearchTripIsADeterministicLowerBound) {
+  auto rule = min_after_round(2);
+  auto model = make_model(ModelKind::kMobile, 3, 1, *rule);
+  const Graph g = similarity_graph(*model, reachable_by_depth(*model, 2)[2]);
+  const auto truth = all_sources_diameter(g);
+  ASSERT_TRUE(truth.has_value());
+
+  std::vector<std::pair<std::optional<std::size_t>, std::size_t>> seen;
+  for (const unsigned workers : {1u, 4u}) {
+    runtime::WorkerCountOverride scoped_workers(workers);
+    fault::FaultScope scope(
+        11, 0.05, 1u << static_cast<unsigned>(fault::Site::kGuardBudget));
+    Guard guard;
+    const auto partial = g.diameter(guard);
+    EXPECT_EQ(TruncationReason::kStateBudget, partial.truncation);
+    EXPECT_GT(partial.completed, 0u);
+    EXPECT_LT(partial.completed, g.size());
+    ASSERT_TRUE(partial.value.has_value());
+    EXPECT_LE(*partial.value, *truth);
+    seen.emplace_back(partial.value, partial.completed);
+  }
+  EXPECT_EQ(seen[0], seen[1]);
 }
 
 TEST(GuardedSimilarityTest, GenerousGuardMatchesUnguardedGraph) {

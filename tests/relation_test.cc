@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
+#include <string>
 
 #include "analysis/reports.hpp"
 #include "core/decision_rule.hpp"
@@ -14,7 +16,11 @@
 #include "relation/graph.hpp"
 #include "relation/similarity.hpp"
 #include "relation/similarity_index.hpp"
+#include "runtime/fault.hpp"
+#include "runtime/thread_pool.hpp"
 #include "util/rng.hpp"
+
+#include "diameter_oracle.hpp"
 
 namespace lacon {
 namespace {
@@ -289,6 +295,92 @@ TEST(SimilarityIndex, MailboxMaskedFingerprintIgnoresOwnMailbox) {
   EXPECT_FALSE(model.agree_modulo(a, b, 0));
   EXPECT_NE(model.similarity_fingerprint(a, 0),
             model.similarity_fingerprint(b, 0));
+}
+
+// Differential oracle: the bounded diameter equals the all-sources one on
+// the Con_0 / depth-1 / depth-2 frontiers of every model kind.
+TEST(GraphDiameter, BoundedSearchEqualsAllSourcesOnModelFrontiers) {
+  struct Cfg {
+    ModelKind kind;
+    int n;
+    int t;
+  };
+  const Cfg cfgs[] = {
+      {ModelKind::kMobile, 3, 1},    {ModelKind::kMobile, 4, 1},
+      {ModelKind::kSharedMem, 3, 1}, {ModelKind::kMsgPass, 3, 1},
+      {ModelKind::kSync, 3, 1},      {ModelKind::kSync, 4, 2},
+  };
+  auto rule = min_after_round(2);
+  for (const Cfg& cfg : cfgs) {
+    auto model = make_model(cfg.kind, cfg.n, cfg.t, *rule);
+    const auto levels = reachable_by_depth(*model, 2);
+    for (std::size_t d = 0; d < levels.size(); ++d) {
+      expect_diameter_matches_oracle(
+          similarity_graph(*model, levels[d]),
+          model->name() + " n=" + std::to_string(cfg.n) +
+              " depth=" + std::to_string(d));
+    }
+  }
+  MsgPassSyncModel sync_mp(3, *rule);
+  const auto levels = reachable_by_depth(sync_mp, 2);
+  for (std::size_t d = 0; d < levels.size(); ++d) {
+    expect_diameter_matches_oracle(
+        similarity_graph(sync_mp, levels[d]),
+        sync_mp.name() + " depth=" + std::to_string(d));
+  }
+}
+
+// Mobile n=4, t=1, depth 2 (2704 states, s-diameter 173): the source
+// sequence depends on the graph alone, so the value, the settled count and
+// the exact BFS count are the same at every worker count. The count is the
+// pinned work figure of this analysis; the all-sources search ran 2704.
+TEST(GraphDiameter, WorkerCountIdentityAndExactBfsCount) {
+  constexpr std::uint64_t kBfsRuns = 308;
+  auto rule = min_after_round(2);
+  for (const unsigned workers : {1u, 4u}) {
+    runtime::WorkerCountOverride scoped_workers(workers);
+    auto model = make_model(ModelKind::kMobile, 4, 1, *rule);
+    const Graph g = similarity_graph(*model, reachable_by_depth(*model, 2)[2]);
+    ASSERT_EQ(2704u, g.size());
+    const CountedDiameter d = counted_diameter(g);
+    ASSERT_TRUE(d.result.value.has_value()) << workers << " workers";
+    EXPECT_EQ(173u, *d.result.value) << workers << " workers";
+    EXPECT_EQ(2704u, d.result.completed) << workers << " workers";
+    EXPECT_EQ(kBfsRuns, d.bfs_runs) << workers << " workers";
+  }
+  EXPECT_LT(kBfsRuns, 2704u / 4);
+}
+
+// Fault soak: the guarded bounding search under a seeded plan covering
+// every injection site. A complete answer is the oracle's; a truncated one
+// is a lower bound over a strict subset of settled vertices. ci.sh re-runs
+// this under TSan/ASan with LACON_FAULT_SEED / LACON_FAULT_RATE overriding
+// the defaults.
+TEST(FaultSoak, GuardedDiameterIsALowerBoundUnderInjection) {
+  fault::FaultConfig config{20260805, 0.02};
+  if (const auto env = fault::config_from_env()) config = *env;
+  auto rule = min_after_round(2);
+  auto model = make_model(ModelKind::kMobile, 3, 1, *rule);
+  for (const auto& level : reachable_by_depth(*model, 2)) {
+    const Graph g = similarity_graph(*model, level);
+    const auto truth = all_sources_diameter(g);
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      fault::FaultScope scope(config.seed + seed, config.rate);
+      guard::Guard guard;
+      guard.with_deadline(std::chrono::seconds(60));
+      const auto partial = g.diameter(guard);
+      if (partial.complete()) {
+        EXPECT_EQ(truth, partial.value) << "seed " << seed;
+        EXPECT_EQ(g.size(), partial.completed) << "seed " << seed;
+        continue;
+      }
+      EXPECT_LT(partial.completed, g.size()) << "seed " << seed;
+      if (partial.value) {
+        ASSERT_TRUE(truth.has_value());
+        EXPECT_LE(*partial.value, *truth) << "seed " << seed;
+      }
+    }
+  }
 }
 
 }  // namespace
