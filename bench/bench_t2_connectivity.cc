@@ -13,7 +13,6 @@
 
 #include "analysis/reports.hpp"
 #include "relation/similarity.hpp"
-#include "relation/similarity_index.hpp"
 #include "runtime/stats.hpp"
 #include "util/table.hpp"
 
@@ -58,7 +57,7 @@ void print_index_ablation() {
     const Graph naive = similarity_graph_naive(*model, con0);
     const auto t1 = Clock::now();
     const std::uint64_t naive_pairs = pairs.value() - pairs0;
-    const Graph indexed = similarity_graph_indexed(*model, con0);
+    const Graph indexed = similarity_graph(*model, con0);
     const auto t2 = Clock::now();
     const std::uint64_t indexed_pairs = pairs.value() - pairs0 - naive_pairs;
 

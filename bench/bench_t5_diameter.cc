@@ -20,7 +20,6 @@
 #include "engine/explore.hpp"
 #include "models/synchronous/sync_model.hpp"
 #include "relation/similarity.hpp"
-#include "relation/similarity_index.hpp"
 #include "runtime/stats.hpp"
 #include "topology/solvability.hpp"
 #include "util/table.hpp"
@@ -136,7 +135,7 @@ void print_table() {
       const Graph naive = similarity_graph_naive(model, levels[m]);
       const auto t1 = Clock::now();
       const std::uint64_t naive_pairs = pairs.value() - pairs0;
-      const Graph indexed = similarity_graph_indexed(model, levels[m]);
+      const Graph indexed = similarity_graph(model, levels[m]);
       const auto t2 = Clock::now();
       const std::uint64_t indexed_pairs =
           pairs.value() - pairs0 - naive_pairs;

@@ -43,30 +43,21 @@ run_config() {
     # (truncated/corrupt file parsing is exactly where ASan earns its keep);
     # service_test is the satellite TSan soak: concurrent socket clients
     # sharing one session's arenas, layer cache and valence memo.
-    # simd_test rides along so the AVX2/NEON kernels and the scalar
-    # reference run their randomized equivalence sweeps under both
-    # sanitizers (ASan in particular audits the tail-masked lane reads).
+    # relation_test rides along for the guarded eccentricity-bounding
+    # diameter: its FaultSoak case trips the per-BFS guard probe at seeded
+    # points.
     # LACON_SYMMETRY=on puts the orbit-canonicalization memos (core/sym.hpp,
     # shared mutable state under parallel interning) on the sanitized paths;
     # the symmetry contract says results cannot change, so the suites must
     # stay green with the quotient folding wherever a model permits it.
     for soak_bin in guard_test runtime_test fuzz_test trace_test \
-                    store_test service_test simd_test sym_test; do
+                    store_test service_test relation_test sym_test; do
       LACON_FAULT_SEED="${LACON_FAULT_SEED:-20260805}" \
       LACON_FAULT_RATE="${LACON_FAULT_RATE:-0.05}" \
       LACON_TRACE=spans \
       LACON_SYMMETRY=on \
         "$dir/tests/$soak_bin" --gtest_brief=1
     done
-    # relation_test rides along for the guarded eccentricity-bounding
-    # diameter: its FaultSoak case trips the per-BFS guard probe at seeded
-    # points. It runs without LACON_SYMMETRY=on because its hand-built
-    # message-passing fixtures compare raw states coordinate by coordinate,
-    # which the orbit quotient rewrites by design.
-    LACON_FAULT_SEED="${LACON_FAULT_SEED:-20260805}" \
-    LACON_FAULT_RATE="${LACON_FAULT_RATE:-0.05}" \
-    LACON_TRACE=spans \
-      "$dir/tests/relation_test" --gtest_brief=1
     # Kill-and-recover soak: SIGKILL a WAL-enabled daemon mid-workload and
     # assert the restart serves byte-identical responses with zero
     # re-interns (examples/crash_recover.cc). The harness parent stays
@@ -76,14 +67,6 @@ run_config() {
     "$dir/examples/crash_recover"
   fi
   if [[ "$name" == "plain" ]]; then
-    # Forced-scalar lane: the SIMD dispatch contract says LACON_SIMD=scalar
-    # changes speed, never results. Re-run the kernel-facing suites with the
-    # knob pinned so the portable path stays green on hosts whose auto pick
-    # is avx2/neon (regression coverage for scalar-only fallback hosts).
-    echo "=== [$name] LACON_SIMD=scalar lane (kernel-facing suites)"
-    for scalar_bin in simd_test core_test relation_test store_test; do
-      LACON_SIMD=scalar "$dir/tests/$scalar_bin" --gtest_brief=1
-    done
     # Docs drift gate: every LACON_* knob read anywhere in src/ must have a
     # README knob-table row, and every row must still be backed by a read
     # (bench/check_docs.py) — documentation for the operational surface
@@ -115,10 +98,8 @@ run_config() {
     # same smoke budget when a PR intentionally moves performance. The gated
     # JSONs (plus their metrics snapshots) are copied to the repo top level
     # as CI artifacts.
-    # t12 rides the same hard gate: its per-kernel A/B rows regress only if
-    # a kernel or its dispatch got slower, never because a workload grew.
-    echo "=== [$name] bench regression gate (t9+t10+t12 vs bench/baseline/)"
-    for tag in t9_runtime t10_arena t12_simd; do
+    echo "=== [$name] bench regression gate (t9+t10 vs bench/baseline/)"
+    for tag in t9_runtime t10_arena; do
       python3 bench/compare_baseline.py \
         "bench/baseline/BENCH_$tag.json" "bench_results/BENCH_$tag.json" \
         --max-regression 0.25 \

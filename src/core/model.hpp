@@ -105,7 +105,7 @@ class LayeredModel {
   // Writes the whole erase-one row at once: out[j] = similarity_fingerprint
   // (x, j) for j in [0, n). The base implementation hashes the env prefix
   // once and folds every locals/decisions lane into all n-1 non-erased row
-  // entries in a single pass over the state (simd::fingerprint_lanes), which
+  // entries in a single pass over the state (lanes::fingerprint_lanes), which
   // is how fingerprint_row publication avoids n separate state walks. A
   // model that overrides similarity_fingerprint MUST override this too (the
   // message-passing models loop their own per-j hash); fingerprint_row

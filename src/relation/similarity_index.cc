@@ -1,10 +1,4 @@
-#include "relation/similarity_index.hpp"
-
 #include <algorithm>
-#include <atomic>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <utility>
 
 #include "relation/similarity.hpp"
@@ -14,21 +8,6 @@
 
 namespace lacon {
 
-SimilarityStrategy similarity_strategy() {
-  const char* env = std::getenv("LACON_SIMILARITY");
-  if (env == nullptr || *env == '\0' || std::strcmp(env, "indexed") == 0) {
-    return SimilarityStrategy::kIndexed;
-  }
-  if (std::strcmp(env, "naive") == 0) return SimilarityStrategy::kNaive;
-  static std::atomic<bool> warned{false};
-  if (!warned.exchange(true)) {
-    std::fprintf(stderr,
-                 "lacon: unknown LACON_SIMILARITY='%s', using 'indexed'\n",
-                 env);
-  }
-  return SimilarityStrategy::kIndexed;
-}
-
 Graph similarity_graph_naive(LayeredModel& model,
                              const std::vector<StateId>& X) {
   return Graph::from_relation(X.size(), [&](std::size_t a, std::size_t b) {
@@ -36,9 +15,9 @@ Graph similarity_graph_naive(LayeredModel& model,
   });
 }
 
-guard::Partial<Graph> similarity_graph_indexed(LayeredModel& model,
-                                               const std::vector<StateId>& X,
-                                               const guard::Guard& g) {
+guard::Partial<Graph> similarity_graph(LayeredModel& model,
+                                       const std::vector<StateId>& X,
+                                       const guard::Guard& g) {
   auto& stats = runtime::Stats::global();
   runtime::ScopedTimer timer(stats.timer("relation.index_time"));
   const std::size_t m = X.size();
@@ -145,12 +124,6 @@ guard::Partial<Graph> similarity_graph_indexed(LayeredModel& model,
   out.completed = chunks.completed;
   out.truncation = g.reason();
   return out;
-}
-
-Graph similarity_graph_indexed(LayeredModel& model,
-                               const std::vector<StateId>& X) {
-  guard::ScopedGuard scoped(guard::process_guard_spec());
-  return similarity_graph_indexed(model, X, scoped.get()).value;
 }
 
 }  // namespace lacon

@@ -2,6 +2,11 @@
 // the LayeredModel base machinery.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <random>
+#include <utility>
+#include <vector>
+
 #include "core/decision_rule.hpp"
 #include "core/model.hpp"
 #include "core/state.hpp"
@@ -108,6 +113,49 @@ TEST(StateArena, InternsStructurally) {
   EXPECT_NE(a, c);
   EXPECT_EQ(arena.size(), 2u);
   EXPECT_EQ(arena.state(a).locals[1], 3);
+}
+
+// agree_modulo and operator== on pooled states against the loop definition
+// over the raw vector-backed payloads, across odd and even n.
+TEST(StateArena, AgreeModuloMatchesReferenceDefinition) {
+  std::mt19937_64 rng(0x7264731206u);
+  for (int n = 2; n <= 9; ++n) {
+    StateArena arena;
+    std::vector<StateId> ids;
+    std::vector<GlobalState> raw;
+    for (int s = 0; s < 24; ++s) {
+      GlobalState g;
+      const std::size_t env_len = rng() % 4;
+      g.env.resize(env_len);
+      for (auto& w : g.env) {
+        w = static_cast<std::int64_t>(rng() % 3);  // force env collisions
+      }
+      const auto nn = static_cast<std::size_t>(n);
+      g.locals.resize(nn);
+      g.decisions.resize(nn);
+      for (auto& v : g.locals) v = static_cast<ViewId>(rng() % 3) - 1;
+      for (auto& v : g.decisions) v = static_cast<Value>(rng() % 2) - 1;
+      raw.push_back(g);
+      ids.push_back(arena.intern(std::move(g)));
+    }
+    for (int round = 0; round < 200; ++round) {
+      const std::size_t a = rng() % ids.size();
+      const std::size_t b = rng() % ids.size();
+      const auto j = static_cast<ProcessId>(rng() % n);
+      bool want = raw[a].env == raw[b].env;
+      for (ProcessId i = 0; i < n && want; ++i) {
+        if (i == j) continue;
+        const auto idx = static_cast<std::size_t>(i);
+        want = raw[a].locals[idx] == raw[b].locals[idx] &&
+               raw[a].decisions[idx] == raw[b].decisions[idx];
+      }
+      EXPECT_EQ(agree_modulo(arena.state(ids[a]), arena.state(ids[b]), j),
+                want)
+          << "n=" << n;
+      // Interning is content-addressed: ref equality iff one id.
+      EXPECT_EQ(arena.state(ids[a]) == arena.state(ids[b]), ids[a] == ids[b]);
+    }
+  }
 }
 
 TEST(AllBinaryInputs, EnumeratesCube) {

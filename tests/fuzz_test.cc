@@ -16,7 +16,6 @@
 #include "engine/explore.hpp"
 #include "engine/spec.hpp"
 #include "relation/similarity.hpp"
-#include "relation/similarity_index.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/guard.hpp"
 #include "util/hash.hpp"
@@ -132,7 +131,7 @@ TEST(FuzzInvariants, IndexedSimilarityEqualsNaiveSweep) {
       auto model = make_model(kind, 3, 1, rule);
       for (const auto& level : reachable_by_depth(*model, depth)) {
         const Graph naive = similarity_graph_naive(*model, level);
-        const Graph indexed = similarity_graph_indexed(*model, level);
+        const Graph indexed = similarity_graph(*model, level);
         ASSERT_EQ(naive.size(), indexed.size());
         ASSERT_EQ(naive.edge_count(), indexed.edge_count())
             << model_kind_name(kind) << " seed " << seed;

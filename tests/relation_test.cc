@@ -4,18 +4,17 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <string>
 
 #include "analysis/reports.hpp"
 #include "core/decision_rule.hpp"
+#include "core/sym.hpp"
 #include "engine/explore.hpp"
 #include "models/mobile/mobile_model.hpp"
 #include "models/msgpass/msgpass_model.hpp"
 #include "models/msgpass/msgpass_sync_model.hpp"
 #include "relation/graph.hpp"
 #include "relation/similarity.hpp"
-#include "relation/similarity_index.hpp"
 #include "runtime/fault.hpp"
 #include "runtime/thread_pool.hpp"
 #include "util/rng.hpp"
@@ -200,24 +199,6 @@ TEST(Graph, FromSortedEdgesMatchesFromRelation) {
 
 // --- Fingerprint-indexed similarity graph ---
 
-TEST(SimilarityIndex, StrategyKnobReadsEnvironment) {
-  ASSERT_EQ(setenv("LACON_SIMILARITY", "naive", 1), 0);
-  EXPECT_EQ(similarity_strategy(), SimilarityStrategy::kNaive);
-  ASSERT_EQ(setenv("LACON_SIMILARITY", "indexed", 1), 0);
-  EXPECT_EQ(similarity_strategy(), SimilarityStrategy::kIndexed);
-  ASSERT_EQ(unsetenv("LACON_SIMILARITY"), 0);
-  EXPECT_EQ(similarity_strategy(), SimilarityStrategy::kIndexed);
-  // Unknown values warn once on stderr and fall back to the default
-  // instead of silently picking a strategy the operator didn't ask for.
-  ASSERT_EQ(setenv("LACON_SIMILARITY", "quantum", 1), 0);
-  EXPECT_EQ(similarity_strategy(), SimilarityStrategy::kIndexed);
-  ASSERT_EQ(setenv("LACON_SIMILARITY", "", 1), 0);
-  EXPECT_EQ(similarity_strategy(), SimilarityStrategy::kIndexed);
-  ASSERT_EQ(setenv("LACON_SIMILARITY", "NAIVE", 1), 0);  // case-sensitive
-  EXPECT_EQ(similarity_strategy(), SimilarityStrategy::kIndexed);
-  ASSERT_EQ(unsetenv("LACON_SIMILARITY"), 0);
-}
-
 // The index must reproduce the naive sweep's graph *exactly* — same edges,
 // same adjacency order — on every model, including the synchronous one
 // whose states record failures (exercising the witness liveness condition)
@@ -239,7 +220,7 @@ TEST(SimilarityIndex, IndexedEqualsNaiveAcrossModelsAndDepths) {
     auto model = make_model(cfg.kind, cfg.n, cfg.t, *rule);
     for (const auto& level : reachable_by_depth(*model, cfg.depth)) {
       const Graph naive = similarity_graph_naive(*model, level);
-      const Graph indexed = similarity_graph_indexed(*model, level);
+      const Graph indexed = similarity_graph(*model, level);
       EXPECT_TRUE(graphs_identical(naive, indexed))
           << model->name() << " n=" << cfg.n << " |X|=" << level.size();
     }
@@ -281,6 +262,9 @@ TEST(SimilarityIndex, MsgPassSyncFingerprintRespectsAgreeModulo) {
 // differ only inside j's mailbox must agree modulo j and share the erase-j
 // fingerprint, while differing at every other erased coordinate.
 TEST(SimilarityIndex, MailboxMaskedFingerprintIgnoresOwnMailbox) {
+  // The schedules below name raw process coordinates; the orbit quotient
+  // would intern a relabeled representative instead.
+  sym::ScopedSymmetry off(false);
   auto rule = never_decide();
   MsgPassModel model(3, *rule);
   const StateId x0 = model.initial_states().front();

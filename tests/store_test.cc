@@ -117,9 +117,9 @@ TEST_F(StoreTest, RoundTripPreservesContentAndIds) {
 
 // PR-4/§13 invariant: the padding halves of odd-n packed locals/decisions
 // words are zero at intern time AND after a snapshot restore (restore goes
-// through the same intern path). The SIMD kernels may read whole packed
-// words, so a restore that left stale bytes in the padding lane would make
-// pool-word comparisons diverge from lane-exact semantics.
+// through the same intern path). A restore that left stale bytes in the
+// padding lane would make packed pool words depend on history instead of
+// content, and any whole-word comparison diverge from lane-exact semantics.
 TEST_F(StoreTest, RestoredOddNStatesKeepZeroedPadding) {
   constexpr std::size_t kN = 3;  // odd: one padding lane per packed array
   auto cold = make_instance(ModelKind::kMobile, kN, 1, 3);
