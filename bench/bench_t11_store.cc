@@ -203,7 +203,7 @@ void BM_WalAppend(benchmark::State& state, const Workload& w) {
   store::Result r = wal.open(*inst.model, path);
   if (!r.ok()) state.SkipWithError(r.detail.c_str());
   for (auto _ : state) {
-    r = wal.reset_to(*inst.model, 0, 0, inst.engine.get());
+    r = wal.reset_to(0, 0, inst.engine.get());
     if (!r.ok()) state.SkipWithError(r.detail.c_str());
     r = wal.append(*inst.model, inst.engine.get());
     if (!r.ok()) state.SkipWithError(r.detail.c_str());
@@ -251,7 +251,7 @@ void BM_WalGroupCommit(benchmark::State& state, const Workload& w) {
   store::Result r = wal.open(*f.inst.model, path);
   if (!r.ok()) state.SkipWithError(r.detail.c_str());
   for (auto _ : state) {
-    r = wal.reset_to(*f.inst.model, 0, 0, nullptr);
+    r = wal.reset_to(0, 0, nullptr);
     if (!r.ok()) state.SkipWithError(r.detail.c_str());
     r = wal.append(*f.inst.model, f.engines);
     if (!r.ok()) state.SkipWithError(r.detail.c_str());
@@ -267,7 +267,7 @@ void BM_WalSerialCommit(benchmark::State& state, const Workload& w) {
   store::Result r = wal.open(*f.inst.model, path);
   if (!r.ok()) state.SkipWithError(r.detail.c_str());
   for (auto _ : state) {
-    r = wal.reset_to(*f.inst.model, 0, 0, nullptr);
+    r = wal.reset_to(0, 0, nullptr);
     if (!r.ok()) state.SkipWithError(r.detail.c_str());
     for (ValenceEngine* eng : f.engines) {
       r = wal.append(*f.inst.model, eng);

@@ -85,6 +85,7 @@ const std::uint64_t* LayeredModel::fingerprint_row(StateId x) {
   const std::uint64_t* expected = nullptr;
   if (slot.compare_exchange_strong(expected, mine, std::memory_order_acq_rel,
                                    std::memory_order_acquire)) {
+    rows_published_.fetch_add(1, std::memory_order_release);
     return mine;
   }
   delete[] mine;
@@ -103,11 +104,18 @@ void LayeredModel::restore_fingerprint_row(StateId x,
   auto* mine = new std::uint64_t[static_cast<std::size_t>(n_)];
   std::copy(row, row + n_, mine);
   const std::uint64_t* expected = nullptr;
-  if (!slot.compare_exchange_strong(expected, mine,
-                                    std::memory_order_acq_rel,
-                                    std::memory_order_acquire)) {
+  if (slot.compare_exchange_strong(expected, mine, std::memory_order_acq_rel,
+                                   std::memory_order_acquire)) {
+    rows_published_.fetch_add(1, std::memory_order_release);
+  } else {
     delete[] mine;
   }
+}
+
+std::uint64_t LayeredModel::cache_epoch() const noexcept {
+  std::uint64_t sum = rows_published_.load(std::memory_order_acquire);
+  for (const LayerShard& shard : layer_shards_) sum += shard.epoch.load();
+  return sum;
 }
 
 std::vector<std::pair<StateId, std::vector<StateId>>>
@@ -128,7 +136,7 @@ void LayeredModel::import_layer_cache(
     LayerShard& shard =
         layer_shards_[static_cast<std::size_t>(x) % kLayerShards];
     std::lock_guard<std::mutex> lock(shard.mu);
-    shard.map.emplace(x, std::move(succ));
+    if (shard.map.emplace(x, std::move(succ)).second) shard.epoch.bump();
   }
 }
 
@@ -173,7 +181,9 @@ const std::vector<StateId>& LayeredModel::layer(StateId x) {
   succ.erase(std::unique(succ.begin(), succ.end()), succ.end());
   assert(!succ.empty() && "a successor function never returns an empty set");
   std::lock_guard<std::mutex> lock(shard.mu);
-  return shard.map.emplace(x, std::move(succ)).first->second;
+  const auto [it, inserted] = shard.map.emplace(x, std::move(succ));
+  if (inserted) shard.epoch.bump();
+  return it->second;
 }
 
 ProcessSet LayeredModel::failed_at(StateId) const { return {}; }

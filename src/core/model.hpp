@@ -25,6 +25,7 @@
 #include "core/sym.hpp"
 #include "core/types.hpp"
 #include "core/view.hpp"
+#include "runtime/locked_epoch.hpp"
 #include "util/process_set.hpp"
 
 namespace lacon {
@@ -74,6 +75,12 @@ class LayeredModel {
 
   std::size_t num_states() const noexcept { return arena_.size(); }
   std::size_t num_views() const noexcept { return views_.size(); }
+
+  // num_states()/num_views() for a reader racing interning (the store's
+  // save and commit): every id below the result has its content written.
+  // Each passes through every shard lock of its arena once.
+  std::size_t settled_num_states() const { return arena_.settled_size(); }
+  std::size_t settled_num_views() const { return views_.settled_size(); }
 
   // Approximate bytes held by the state arena and the view DAG combined;
   // what a Guard's memory budget is measured against.
@@ -160,6 +167,14 @@ class LayeredModel {
   // cached keep the existing vector (they are equal by construction).
   void import_layer_cache(
       std::vector<std::pair<StateId, std::vector<StateId>>> entries);
+
+  // Mutation epoch of the two caches above: +1 for every layer-cache insert
+  // that wins and every fingerprint row that wins its publication CAS. Two
+  // equal reads mean neither cache gained an entry in between, which is how
+  // store::Wal tells an empty commit without scanning. Each bump follows
+  // the interning of every state its entry references, so a reader that
+  // loads the epoch and then num_states() sees those states.
+  std::uint64_t cache_epoch() const noexcept;
   // ------------------------------------------------------------------------
 
   // --- Symmetry hooks (core/sym.hpp, DESIGN.md §15) -----------------------
@@ -264,6 +279,7 @@ class LayeredModel {
   struct LayerShard {
     std::mutex mu;
     std::unordered_map<StateId, std::vector<StateId>> map;
+    runtime::LockedEpoch epoch;  // inserts
   };
 
   // True when every initial input assignment stays an initial input under
@@ -281,6 +297,9 @@ class LayeredModel {
   std::array<LayerShard, kLayerShards> layer_shards_;
   // Per-state fingerprint rows (n hashes each); nullptr until published.
   runtime::ConcurrentSlotVector<std::atomic<const std::uint64_t*>> fp_memo_;
+  // Rows published; on its own cache line so the bump never invalidates
+  // the members every intern reads.
+  alignas(64) std::atomic<std::uint64_t> rows_published_{0};
   // --- symmetry quotient (DESIGN.md §15) ---
   std::unique_ptr<sym::Canonicalizer> canon_;
   std::once_flag sym_once_;

@@ -143,6 +143,18 @@ StateId StateArena::restore_mapped(const StateRef& s,
   return id;
 }
 
+std::size_t StateArena::settled_size() const {
+  // Every id below `settled` was claimed while its claimer held a shard
+  // lock, which it releases only after writing the header. Passing through
+  // each shard lock once after the read therefore orders all those writes
+  // before the return, with never more than one lock held.
+  const std::size_t settled = next_id_.load(std::memory_order_acquire);
+  for (std::size_t i = 0; i <= shard_mask_; ++i) {
+    const std::lock_guard<std::mutex> pass(shards_[i].mu);
+  }
+  return settled;
+}
+
 StateId StateArena::intern(GlobalState s) {
   return intern_impl(std::move(s), misses_);
 }

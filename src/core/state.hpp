@@ -137,6 +137,13 @@ class StateArena {
     return next_id_.load(std::memory_order_acquire);
   }
 
+  // size() for a reader racing interning: every id below the result has its
+  // header and payload written (an intern claims its id and writes the
+  // header under its shard lock; this passes through every shard lock once
+  // after reading the size). One lock per shard: for the store's id-horizon
+  // captures, not for hot paths.
+  std::size_t settled_size() const;
+
   // Approximate heap footprint of the interned states. Deliberately a
   // deterministic function of the interned *content* (header + payload words
   // + a flat index allowance per unique state), not of pool occupancy:

@@ -53,6 +53,18 @@ ViewId ViewArena::restore(ViewNode node) {
   return intern_impl(std::move(node), restored_);
 }
 
+std::size_t ViewArena::settled_size() const {
+  // Every id below `settled` was claimed while its claimer held a shard
+  // lock, which it releases only after writing the node. Passing through
+  // each shard lock once after the read therefore orders all those writes
+  // before the return, with never more than one lock held.
+  const std::size_t settled = next_id_.load(std::memory_order_acquire);
+  for (std::size_t i = 0; i <= shard_mask_; ++i) {
+    const std::lock_guard<std::mutex> pass(shards_[i].mu);
+  }
+  return settled;
+}
+
 ViewId ViewArena::intern(ViewNode nd) {
   return intern_impl(std::move(nd), misses_);
 }

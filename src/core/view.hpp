@@ -92,6 +92,10 @@ class ViewArena {
     return next_id_.load(std::memory_order_acquire);
   }
 
+  // size() for a reader racing interning: every id below the result has its
+  // node written (see StateArena::settled_size).
+  std::size_t settled_size() const;
+
   // Approximate heap footprint of the interned view DAG (see
   // StateArena::approx_bytes — likewise a deterministic function of the
   // interned content only). Monotone, relaxed reads.

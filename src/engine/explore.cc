@@ -40,23 +40,16 @@ guard::Partial<std::vector<std::vector<StateId>>> reachable_by_depth(
     // states and views — dominates the whole exploration, so this is also
     // where the guard is probed per state; a trip means the cache may be
     // missing layers, in which case the merge below must not run (it would
-    // recompute them serially, unguarded).
+    // recompute them serially, unguarded). It runs at every worker count
+    // (inline at one), so the layer work is always charged to this phase.
     {
       // The per-worker chunks of this section trace as "explore.expand"
       // spans (the PhaseScope publishes the site; arg = layer depth).
       LACON_TRACE_PHASE("explore", "expand", d);
-      if (g.never_trips()) {
-        if (runtime::worker_count() > 1) {
-          runtime::parallel_for(
-              frontier.size(),
-              [&](std::size_t i) { model.layer(frontier[i]); });
-        }
-      } else {
-        const std::size_t filled = runtime::parallel_for_guarded(
-            g, frontier.size(),
-            [&](std::size_t i) { model.layer(frontier[i]); });
-        if (filled < frontier.size() || g.tripped()) break;
-      }
+      const std::size_t filled = runtime::parallel_for_guarded(
+          g, frontier.size(),
+          [&](std::size_t i) { model.layer(frontier[i]); });
+      if (filled < frontier.size() || g.tripped()) break;
     }
     // Phase 2 (serial, canonical): merge layers in frontier order, so the
     // discovery order — and with it every level's content — is a function

@@ -1,14 +1,20 @@
 #include "engine/lemma_store.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <tuple>
 
 #include "runtime/stats.hpp"
 
 namespace lacon {
 
+namespace {
+std::atomic<std::uint64_t> g_next_store_id{1};
+}  // namespace
+
 LemmaStore::LemmaStore()
-    : hits_(&runtime::Stats::global().counter("lemmas.hits")),
+    : instance_id_(g_next_store_id.fetch_add(1, std::memory_order_relaxed)),
+      hits_(&runtime::Stats::global().counter("lemmas.hits")),
       misses_(&runtime::Stats::global().counter("lemmas.misses")),
       published_(&runtime::Stats::global().counter("lemmas.published")) {}
 
@@ -36,12 +42,16 @@ void LemmaStore::publish(Signature sig, int lookahead,
   auto [it, inserted] = shard.map.try_emplace(
       sig, Entry{lookahead, info.v0, info.v1});
   if (inserted) {
+    shard.epoch.bump();
     published_->increment();
     return;
   }
   Entry& e = it->second;
   if (e.v0 != info.v0 || e.v1 != info.v1) return;  // collision: keep first
-  if (lookahead < e.lookahead) e.lookahead = lookahead;
+  if (lookahead < e.lookahead) {
+    e.lookahead = lookahead;
+    shard.epoch.bump();
+  }
 }
 
 std::vector<LemmaStore::Fact> LemmaStore::export_facts() const {
@@ -66,6 +76,12 @@ void LemmaStore::import_facts(const std::vector<Fact>& facts) {
     info.exact = true;
     publish({f.sig_hi, f.sig_lo}, f.lookahead, info);
   }
+}
+
+std::uint64_t LemmaStore::epoch() const noexcept {
+  std::uint64_t sum = 0;
+  for (const Shard& shard : shards_) sum += shard.epoch.load();
+  return sum;
 }
 
 std::size_t LemmaStore::size() const noexcept {

@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "engine/valence.hpp"
+#include "runtime/locked_epoch.hpp"
 
 namespace lacon {
 
@@ -87,6 +88,15 @@ class LemmaStore {
 
   std::size_t size() const noexcept;
 
+  // Mutation epoch: +1 for every publish() that inserts a fact or lowers a
+  // fact's lookahead. Two equal reads mean export_facts() has not changed
+  // in between (store::Wal's empty-commit test). Counted per shard under
+  // the shard mutex, summed here.
+  std::uint64_t epoch() const noexcept;
+
+  // Unique per store over the process lifetime (an address is not).
+  std::uint64_t instance_id() const noexcept { return instance_id_; }
+
  private:
   struct Entry {
     std::int32_t lookahead = 0;
@@ -103,6 +113,7 @@ class LemmaStore {
   struct alignas(64) Shard {
     mutable std::mutex mu;
     std::unordered_map<Signature, Entry, SigHash> map;
+    runtime::LockedEpoch epoch;
   };
 
   Shard& shard_for(const Signature& sig) const noexcept {
@@ -110,6 +121,7 @@ class LemmaStore {
   }
 
   mutable std::array<Shard, kShards> shards_;
+  const std::uint64_t instance_id_;
   runtime::Counter* hits_;
   runtime::Counter* misses_;
   runtime::Counter* published_;

@@ -34,9 +34,18 @@ ValenceInfo decided_valences(LayeredModel& model, StateId x) {
   return info;
 }
 
+namespace {
+std::atomic<std::uint64_t> g_next_engine_id{1};
+}  // namespace
+
 ValenceEngine::ValenceEngine(LayeredModel& model, int horizon, Exactness mode,
                              LemmaStore* lemmas)
-    : model_(model), horizon_(horizon), mode_(mode), lemmas_(lemmas) {
+    : model_(model),
+      horizon_(horizon),
+      mode_(mode),
+      lemmas_(lemmas),
+      instance_id_(
+          g_next_engine_id.fetch_add(1, std::memory_order_relaxed)) {
   assert(horizon >= 0);
 }
 
@@ -111,7 +120,21 @@ void ValenceEngine::memoize(Memo& memo, StateId x, int budget,
   std::lock_guard<std::mutex> lock(shard.mu);
   Entry& e = shard.map[x];  // default horizon -1: always overwritten
   if (e.info.bivalent() && !info.bivalent()) return;
-  if (budget >= e.horizon || info.bivalent()) e = Entry{budget, info};
+  if (budget < e.horizon && !info.bivalent()) return;
+  if (e.horizon == budget && e.info.same_set(info) &&
+      e.info.exact == info.exact) {
+    return;  // unchanged: the epoch only counts real changes
+  }
+  e = Entry{budget, info};
+  shard.epoch.bump();
+}
+
+std::uint64_t ValenceEngine::memo_epoch() const noexcept {
+  std::uint64_t sum = 0;
+  for (const Memo* memo : {&memo_, &memo_deep_}) {
+    for (const MemoShard& shard : memo->shards) sum += shard.epoch.load();
+  }
+  return sum;
 }
 
 guard::Partial<std::vector<ValenceInfo>> ValenceEngine::classify_all(

@@ -38,6 +38,7 @@
 #include "core/model.hpp"
 #include "relation/graph.hpp"
 #include "runtime/guard.hpp"
+#include "runtime/locked_epoch.hpp"
 
 namespace lacon {
 
@@ -137,6 +138,16 @@ class ValenceEngine {
   // (memoize()), so importing into a warm engine is safe.
   void import_memo(const std::vector<MemoEntry>& entries);
 
+  // Mutation epoch of both memos: +1 for every memoize() that changes an
+  // entry. Two equal reads mean export_memo() has not changed in between
+  // (store::Wal's empty-commit test). Each shard counts its own changes
+  // under the mutex memoize already holds; this sums the shards.
+  std::uint64_t memo_epoch() const noexcept;
+
+  // Unique per engine over the process lifetime. An address is not: a new
+  // engine may reuse a destroyed one's.
+  std::uint64_t instance_id() const noexcept { return instance_id_; }
+
  private:
   struct Entry {
     int horizon = -1;
@@ -148,6 +159,7 @@ class ValenceEngine {
   struct MemoShard {
     std::mutex mu;
     std::unordered_map<StateId, Entry> map;
+    runtime::LockedEpoch epoch;
   };
   struct Memo {
     std::array<MemoShard, kMemoShards> shards;
@@ -162,6 +174,7 @@ class ValenceEngine {
   int horizon_;
   Exactness mode_;
   LemmaStore* lemmas_;
+  const std::uint64_t instance_id_;
   Memo memo_;       // lookahead = horizon_
   Memo memo_deep_;  // lookahead = horizon_ + 1 (kConvergence only)
   std::atomic<std::size_t> evaluations_{0};

@@ -177,9 +177,17 @@ ValenceEngine& Session::engine(int horizon) {
 }
 
 void Session::ensure_store_loaded(ValenceEngine* eng) {
+  // Warm path: the release store below publishes the loaded model, wal_
+  // and snapshot_bytes_ to every request that acquires the flag.
+  if (store_loaded_.load(std::memory_order_acquire)) return;
   std::lock_guard<std::mutex> lock(store_mu_);
-  if (store_attempted_) return;
+  if (store_attempted_) return;  // a failed load is not retried
   store_attempted_ = true;
+  load_store_locked(eng);
+  store_loaded_.store(true, std::memory_order_release);
+}
+
+void Session::load_store_locked(ValenceEngine* eng) {
   const bool wal_on = store::wal_enabled();
   if (!store::loads(store::mode()) && !wal_on) return;
 
@@ -229,6 +237,7 @@ void Session::ensure_store_loaded(ValenceEngine* eng) {
     // "notice" naming the quarantined file.
     pending_notice_ = "wal quarantined to " + wpath + ".bad (" +
                       store::to_string(w.status) + ": " + w.detail + ")";
+    has_notice_.store(true, std::memory_order_release);
     const store::Result s = store::save(*model_, path, eng, lemmas_.get());
     if (s.ok()) {
       store::SnapshotMeta meta;
@@ -253,9 +262,10 @@ void Session::commit_wal(ValenceEngine* eng) {
 }
 
 void Session::commit_wal(const std::vector<ValenceEngine*>& engines) {
-  // wal_ is written exactly once, inside this thread's earlier
-  // ensure_store_loaded call (under store_mu_), so the unlocked read here
-  // is ordered after that write.
+  // wal_ is written only by the load, which this thread's earlier
+  // ensure_store_loaded call either ran, waited for under store_mu_, or saw
+  // finished through the acquire load of store_loaded_, so the unlocked
+  // read here is ordered after every write.
   if (wal_ == nullptr) return;
 
   std::unique_lock<std::mutex> lock(commit_mu_);
@@ -318,8 +328,8 @@ void Session::leader_commit_locked(
   store::SnapshotMeta meta;
   if (!store::probe(path, &meta).ok()) return;
   snapshot_bytes_ = meta.file_bytes;
-  const store::Result t = wal_->reset_to(*model_, meta.num_views,
-                                         meta.num_states, eng, lemmas_.get());
+  const store::Result t =
+      wal_->reset_to(meta.num_views, meta.num_states, eng, lemmas_.get());
   if (!t.ok()) {
     std::fprintf(stderr, "laconrd: wal reset failed (%s): %s\n",
                  store::to_string(t.status), t.detail.c_str());
@@ -327,9 +337,11 @@ void Session::leader_commit_locked(
 }
 
 std::string Session::take_notice() {
+  if (!has_notice_.load(std::memory_order_acquire)) return {};
   std::lock_guard<std::mutex> lock(store_mu_);
   std::string out;
   out.swap(pending_notice_);
+  has_notice_.store(false, std::memory_order_relaxed);
   return out;
 }
 
@@ -341,6 +353,9 @@ bool Session::store_save() {
     eng = last_engine_;
   }
   const std::string path = store::snapshot_path(*model_);
+  // store_mu_ spans the save and the log reset: an append between them
+  // would log entries the reset then counts as held by the snapshot.
+  std::lock_guard<std::mutex> lock(store_mu_);
   const store::Result r = store::save(*model_, path, eng, lemmas_.get());
   if (!r.ok()) {
     std::fprintf(stderr, "laconrd: snapshot save failed (%s): %s\n",
@@ -350,13 +365,11 @@ bool Session::store_save() {
   // The fresh snapshot supersedes every logged record; restart the log so
   // the next run replays nothing it already has. Skipping this is safe
   // (replay skips covered records) but leaves the log to grow stale bytes.
-  std::lock_guard<std::mutex> lock(store_mu_);
   if (wal_ != nullptr) {
     store::SnapshotMeta meta;
     if (store::probe(path, &meta).ok()) {
       snapshot_bytes_ = meta.file_bytes;
-      wal_->reset_to(*model_, meta.num_views, meta.num_states, eng,
-                     lemmas_.get());
+      wal_->reset_to(meta.num_views, meta.num_states, eng, lemmas_.get());
     }
   }
   return true;

@@ -32,6 +32,7 @@
 // session run in parallel.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <map>
@@ -101,7 +102,8 @@ class Session {
   // its records over the snapshot (kill -9 recovery). An unreadable WAL is
   // quarantined to `<path>.bad` and restarted fresh rather than ever
   // crashing the daemon. Runs at most once per session; failures fall back
-  // to a cold start (one stderr line).
+  // to a cold start (one stderr line). Once the load finished, a call is
+  // one acquire load: the warm path takes no session lock.
   void ensure_store_loaded(ValenceEngine* eng);
 
   // Durability commit point (LACON_WAL=on; no-op otherwise): returns only
@@ -124,6 +126,7 @@ class Session {
   // recovery quarantined an unreadable WAL to `<path>.bad`, and attached by
   // handle_request to the next response as a "notice" field so operators
   // learn the quarantined file's path from the wire, not just stderr.
+  // Without a pending notice it returns without locking.
   std::string take_notice();
 
   // Saves the session per LACON_STORE; uses the most recently used engine's
@@ -141,15 +144,21 @@ class Session {
   std::mutex engines_mu_;
   std::map<int, std::unique_ptr<ValenceEngine>> engines_;
   ValenceEngine* last_engine_ = nullptr;
+  // The first-request load body; caller holds store_mu_.
+  void load_store_locked(ValenceEngine* eng);
   // The leader's append/compact body; caller holds store_mu_ via the
   // group-commit protocol in commit_wal.
   void leader_commit_locked(const std::vector<ValenceEngine*>& engines);
 
+  // store_mu_ fences the load, saves, compaction and appends; requests
+  // after the load read only the two flags below on their way through.
   std::mutex store_mu_;
-  bool store_attempted_ = false;
+  bool store_attempted_ = false;          // guarded by store_mu_
+  std::atomic<bool> store_loaded_{false}; // released after the load
   std::unique_ptr<store::Wal> wal_;       // null unless LACON_WAL=on
   std::uint64_t snapshot_bytes_ = 0;      // compaction baseline
   std::string pending_notice_;            // guarded by store_mu_
+  std::atomic<bool> has_notice_{false};   // pending_notice_ is non-empty
 
   // --- group commit (see commit_wal) ---
   // commit_started_ counts rounds a leader has claimed, commit_done_ rounds

@@ -407,9 +407,10 @@ Result save(LayeredModel& model, const std::string& path,
   // Capture the id horizons ONCE, states before views: with S read first,
   // every view a state < S references exists (< V) even if interning races
   // this save. All sections are filtered against the captured horizons so
-  // the file is internally consistent regardless of concurrent growth.
-  const std::uint64_t num_states = model.num_states();
-  const std::uint64_t num_views = model.num_views();
+  // the file is internally consistent regardless of concurrent growth, and
+  // the settled counts guarantee every id below them is fully written.
+  const std::uint64_t num_states = model.settled_num_states();
+  const std::uint64_t num_views = model.settled_num_views();
 
   Header h;
   h.n = static_cast<std::uint32_t>(model.n());

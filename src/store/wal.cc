@@ -493,8 +493,7 @@ Result Wal::replay(LayeredModel& model, ValenceEngine* engine,
   }
 
   // Everything the model now holds came from durable storage.
-  mark_persisted_from(model, model.num_views(), model.num_states(), engine,
-                      lemmas);
+  mark_model_persisted(model, engine, lemmas);
 
   stats.counter("wal.records_replayed").add(rs.records_applied);
   stats.counter("wal.records_skipped").add(rs.records_skipped);
@@ -521,11 +520,34 @@ Result Wal::append(LayeredModel& model,
   runtime::ScopedTimer timer(stats.timer("wal.append_time"));
   if (fd_ < 0) return fail(Status::kIoError, "wal not open");
 
-  // States first, then views: with S captured before V, every view a state
-  // < S references exists (< V) — same ordering rule the snapshot relies
-  // on.
-  const std::uint64_t S = model.num_states();
-  const std::uint64_t V = model.num_views();
+  // Capture order: epochs, then S, then V. An entry counted in an epoch
+  // references only states interned before its bump, so every entry visible
+  // at the epoch capture is below S: the S-bounds filter below never drops
+  // an entry that a later epoch test would then hide. States before views:
+  // every view a state < S references exists (< V), the snapshot's rule.
+  Epochs epochs;
+  epochs.model = model.cache_epoch();
+  if (lemmas != nullptr) {
+    epochs.lemmas_id = lemmas->instance_id();
+    epochs.lemmas = lemmas->epoch();
+  }
+  for (const ValenceEngine* eng : engines) {
+    if (eng != nullptr) {
+      epochs.engines.emplace_back(eng->instance_id(), eng->memo_epoch());
+    }
+  }
+  if (model.num_states() == persisted_states_ &&
+      model.num_views() == persisted_views_ && epochs_unchanged(epochs)) {
+    // Nothing interned and no cache entry added since the last round that
+    // scanned, and that round logged everything it saw.
+    stats.counter("wal.empty_commits").increment();
+    return {};
+  }
+  // Settled counts: every id below them has its content written, so the
+  // encoders below never read a state or view another thread is still
+  // interning.
+  const std::uint64_t S = model.settled_num_states();
+  const std::uint64_t V = model.settled_num_views();
 
   // Collect the not-yet-persisted cache entries. Bounds-filter against S:
   // an entry referencing a state interned after the capture waits for the
@@ -586,6 +608,7 @@ Result Wal::append(LayeredModel& model,
   const std::uint64_t new_states = S - persisted_states_;
   if (new_views == 0 && new_states == 0 && layers.empty() && memos.empty() &&
       fp_ids.empty() && facts.empty()) {
+    remember_epochs(epochs);
     return {};  // nothing interned since the last commit
   }
 
@@ -680,6 +703,7 @@ Result Wal::append(LayeredModel& model,
   }
   for (StateId x : fp_ids) persisted_fingerprints_[x] = true;
   for (const LemmaStore::Fact& f : facts) persisted_lemmas_.insert(lemma_key(f));
+  remember_epochs(epochs);
 
   stats.counter("wal.records_appended").add(records);
   stats.counter("wal.bytes_appended").add(batch.size());
@@ -697,9 +721,9 @@ bool Wal::should_compact(std::uint64_t snapshot_bytes,
   return log_bytes() > ratio * floor;
 }
 
-Result Wal::reset_to(LayeredModel& model, std::uint64_t num_views,
-                     std::uint64_t num_states, ValenceEngine* engine,
-                     LemmaStore* lemmas) {
+Result Wal::reset_to(std::uint64_t num_views, std::uint64_t num_states,
+                     const ValenceEngine* engine,
+                     const LemmaStore* lemmas) {
   if (fd_ < 0) return fail(Status::kIoError, "wal not open");
   if (::ftruncate(fd_, static_cast<off_t>(header_end_)) != 0 ||
       ::fsync(fd_) != 0) {
@@ -707,57 +731,97 @@ Result Wal::reset_to(LayeredModel& model, std::uint64_t num_views,
   }
   log_end_ = header_end_;
   seq_ = 0;
-  mark_persisted_from(model, num_views, num_states, engine, lemmas);
+
+  // What the snapshot provably holds: entries an earlier append logged were
+  // in the model when the snapshot was saved, and they reference only
+  // states below the old watermark — so when the snapshot's horizons cover
+  // that watermark, the snapshot holds them. Entries published since the
+  // last append may have missed the save and stay unmarked; the next append
+  // logs them again (replay's imports are idempotent or merge). The
+  // snapshot carries one engine's memo and maybe no lemma store.
+  const bool covers_log =
+      num_states >= persisted_states_ && num_views >= persisted_views_;
+  persisted_views_ = num_views;
+  persisted_states_ = num_states;
+  if (!covers_log) {
+    persisted_layers_.clear();
+    persisted_fingerprints_.clear();
+    persisted_memo_.clear();
+    persisted_lemmas_.clear();
+  } else {
+    for (auto it = persisted_memo_.begin(); it != persisted_memo_.end();) {
+      if (engine != nullptr && it->first == engine->horizon()) {
+        ++it;
+      } else {
+        it = persisted_memo_.erase(it);
+      }
+    }
+    if (lemmas == nullptr) persisted_lemmas_.clear();
+  }
+  forget_epochs();
   runtime::Stats::global().counter("wal.compactions").increment();
   return {};
 }
 
-void Wal::mark_persisted_from(LayeredModel& model, std::uint64_t num_views,
-                              std::uint64_t num_states, ValenceEngine* engine,
-                              LemmaStore* lemmas) {
-  persisted_views_ = num_views;
-  persisted_states_ = num_states;
-
-  // The durable horizon may trail the live model (a snapshot races
-  // interning); only content strictly below it counts as persisted. The
-  // snapshot save side applies the same < num_states filter to the cache
-  // sections, so these sets mirror the file exactly.
-  const std::uint64_t live = model.num_states();
-  persisted_layers_.assign(static_cast<std::size_t>(live), false);
-  persisted_fingerprints_.assign(static_cast<std::size_t>(live), false);
+void Wal::mark_model_persisted(LayeredModel& model, ValenceEngine* engine,
+                               LemmaStore* lemmas) {
+  const std::uint64_t states = model.num_states();
+  persisted_views_ = model.num_views();
+  persisted_states_ = states;
+  persisted_layers_.assign(static_cast<std::size_t>(states), false);
+  persisted_fingerprints_.assign(static_cast<std::size_t>(states), false);
   persisted_memo_.clear();
+  persisted_lemmas_.clear();
 
   for (const auto& [x, succ] : model.export_layer_cache()) {
-    if (static_cast<std::uint64_t>(x) >= num_states) continue;
-    bool in_range = true;
-    for (StateId y : succ) {
-      in_range = in_range && static_cast<std::uint64_t>(y) < num_states;
-    }
-    if (in_range) persisted_layers_[x] = true;
+    if (static_cast<std::uint64_t>(x) < states) persisted_layers_[x] = true;
   }
-  for (std::uint64_t id = 0; id < num_states && id < live; ++id) {
+  for (std::uint64_t id = 0; id < states; ++id) {
     const auto x = static_cast<StateId>(id);
     if (model.cached_fingerprint_row(x) != nullptr) {
       persisted_fingerprints_[x] = true;
     }
   }
   if (engine != nullptr) {
-    memo_horizon_ = engine->horizon();
-    memo_mode_ = engine->mode() == Exactness::kConvergence ? 1 : 0;
     for (const auto& e : engine->export_memo()) {
-      if (static_cast<std::uint64_t>(e.x) < num_states) {
-        persisted_memo_.insert({engine->horizon(), memo_key(e)});
-      }
+      persisted_memo_.insert({engine->horizon(), memo_key(e)});
     }
   }
-  persisted_lemmas_.clear();
   if (lemmas != nullptr) {
-    // Everything the store currently holds came off durable storage (the
-    // snapshot that was just saved, or the log that was just replayed).
     for (const LemmaStore::Fact& f : lemmas->export_facts()) {
       persisted_lemmas_.insert(lemma_key(f));
     }
   }
+  forget_epochs();
+}
+
+bool Wal::epochs_unchanged(const Epochs& now) const {
+  if (!epochs_known_ || now.model != model_epoch_) return false;
+  if (now.lemmas_id != 0 &&
+      (now.lemmas_id != lemmas_id_ || now.lemmas != lemmas_epoch_)) {
+    return false;
+  }
+  for (const auto& [id, epoch] : now.engines) {
+    const auto it = engine_epochs_.find(id);
+    if (it == engine_epochs_.end() || it->second != epoch) return false;
+  }
+  return true;
+}
+
+void Wal::remember_epochs(const Epochs& now) {
+  epochs_known_ = true;
+  model_epoch_ = now.model;
+  if (now.lemmas_id != 0) {
+    lemmas_id_ = now.lemmas_id;
+    lemmas_epoch_ = now.lemmas;
+  }
+  for (const auto& [id, epoch] : now.engines) engine_epochs_[id] = epoch;
+}
+
+void Wal::forget_epochs() {
+  epochs_known_ = false;
+  lemmas_id_ = 0;
+  engine_epochs_.clear();
 }
 
 }  // namespace lacon::store

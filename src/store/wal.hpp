@@ -53,18 +53,26 @@
 //
 // Compaction: once the log dwarfs the snapshot (should_compact), the owner
 // saves a fresh snapshot and calls reset_to(), which truncates the log back
-// to its header and re-derives the persisted-watermarks from what that
-// snapshot actually covers.
+// to its header and keeps as persisted only what that snapshot provably
+// holds; everything else is logged again by the next append.
 //
-// A Wal instance is not internally synchronized: callers serialize open/
-// replay/append/reset_to. laconrd does this with a per-session store mutex
-// plus a group-commit leader discipline (service/protocol.cc): concurrent
-// requests stage their engines under a commit mutex, exactly one leader at
-// a time calls append() with the staged batch, and every waiter returns
-// only after a round that started at or after its own work completed.
+// Concurrency: a Wal instance is not internally synchronized, so callers
+// serialize open/replay/append/reset_to and the snapshot saves between
+// them. The model, its engines and the lemma store need no such care:
+// other threads may intern states and views, fill the layer cache, publish
+// fingerprint rows, memoize and publish lemmas while append() runs. append
+// captures the cache epochs first, then the state count S, then the view
+// count V, and logs exactly the delta below those horizons; anything that
+// lands later is the next commit's. laconrd serializes with a per-session
+// store mutex plus a group-commit leader discipline (service/protocol.cc):
+// concurrent requests stage their engines under a commit mutex, exactly
+// one leader at a time calls append() with the staged batch, and every
+// waiter returns only after a round that started at or after its own work
+// completed.
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <set>
 #include <string>
 #include <tuple>
@@ -127,7 +135,12 @@ class Wal {
   // watermarks, fsyncs it, and advances the watermarks. A no-op (kOk)
   // when nothing new exists. On a short write the file is truncated back to
   // the previous record boundary so a failed append never leaves a torn
-  // middle. Requires a quiescent model (same rule as snapshot save).
+  // middle. May run while other threads grow the model, the engines and
+  // the lemma store (see Concurrency above). The empty case costs O(1):
+  // when S and V equal the watermarks and the model's cache epoch, each
+  // engine's memo epoch and the lemma store's epoch all equal what the
+  // last scanning round captured, nothing can be new, so append returns
+  // without scanning and counts "wal.empty_commits".
   Result append(LayeredModel& model, ValenceEngine* engine,
                 LemmaStore* lemmas = nullptr);
 
@@ -150,14 +163,19 @@ class Wal {
   bool should_compact(std::uint64_t snapshot_bytes,
                       std::uint64_t ratio) const noexcept;
 
-  // After a fresh snapshot of `model` was durably saved covering
-  // `num_views`/`num_states` (read them off store::probe, not the live
-  // model — interning may have raced the save): truncates the log back to
-  // its header, fsyncs, and recomputes the watermarks to exactly what that
-  // snapshot holds.
-  Result reset_to(LayeredModel& model, std::uint64_t num_views,
-                  std::uint64_t num_states, ValenceEngine* engine,
-                  LemmaStore* lemmas = nullptr);
+  // After a fresh snapshot was durably saved covering `num_views`/
+  // `num_states` (read them off store::probe, not the live model —
+  // interning may have raced the save) with `engine`'s memo and `lemmas`'
+  // facts (either may be null, as in the save): truncates the log back to
+  // its header, fsyncs, and resets the watermarks to what that snapshot
+  // provably holds. Cache entries the log already carried were in the
+  // model before the save, so they stay persisted when the snapshot covers
+  // the old watermarks; entries published since the last append, and memo
+  // entries of other engines, are logged again by the next append. Call
+  // with no append between the save and this reset.
+  Result reset_to(std::uint64_t num_views, std::uint64_t num_states,
+                  const ValenceEngine* engine,
+                  const LemmaStore* lemmas = nullptr);
 
   bool is_open() const noexcept { return fd_ >= 0; }
   const std::string& path() const noexcept { return path_; }
@@ -171,13 +189,24 @@ class Wal {
   void close();
 
  private:
+  // The cache epochs one append captures: the model's, the lemma store's
+  // (id 0 when the commit has none) and each engine's, by instance id.
+  struct Epochs {
+    std::uint64_t model = 0;
+    std::uint64_t lemmas_id = 0;
+    std::uint64_t lemmas = 0;
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> engines;
+  };
+
   Result write_and_sync(const std::uint8_t* data, std::size_t bytes,
                         std::uint64_t at_offset);
-  // Rebuilds the persisted cache-entry sets from the model, counting only
-  // content below the given id horizons.
-  void mark_persisted_from(LayeredModel& model, std::uint64_t num_views,
-                           std::uint64_t num_states, ValenceEngine* engine,
-                           LemmaStore* lemmas);
+  // Marks everything the model holds as persisted (after replay).
+  void mark_model_persisted(LayeredModel& model, ValenceEngine* engine,
+                            LemmaStore* lemmas);
+  // True when every epoch equals the one the last scanning round captured.
+  bool epochs_unchanged(const Epochs& now) const;
+  void remember_epochs(const Epochs& now);
+  void forget_epochs();
 
   int fd_ = -1;
   std::string path_;
@@ -202,8 +231,15 @@ class Wal {
   // store's publish keeps the cheaper proof).
   std::set<std::tuple<std::uint64_t, std::uint64_t, std::int32_t>>
       persisted_lemmas_;
-  std::int32_t memo_horizon_ = -1;
-  std::uint32_t memo_mode_ = 0;
+
+  // Epochs captured by the last round that scanned. Engines and lemma
+  // stores are keyed by instance id, never by address. replay and reset_to
+  // forget them, so the next append scans.
+  bool epochs_known_ = false;
+  std::uint64_t model_epoch_ = 0;
+  std::uint64_t lemmas_id_ = 0;
+  std::uint64_t lemmas_epoch_ = 0;
+  std::map<std::uint64_t, std::uint64_t> engine_epochs_;
 };
 
 }  // namespace lacon::store

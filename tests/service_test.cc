@@ -13,12 +13,15 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <map>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -691,6 +694,100 @@ TEST(ProtocolWalTest, PipelinedBatchSharesOneCommitAndIsDurable) {
         << "request " << i;
     EXPECT_EQ(find_path(*doc2, {"metrics", "new_states"})->as_number(), 0.0);
     EXPECT_EQ(find_path(*doc2, {"metrics", "new_views"})->as_number(), 0.0);
+  }
+
+  ::unsetenv("LACON_WAL");
+  ::unsetenv("LACON_STORE_DIR");
+  ::unsetenv("LACON_STORE");
+  std::error_code ec;
+  fs::remove_all(dir, ec);
+}
+
+// Warm reads and cold requests on ONE session at once: commits run while
+// other requests intern, fill caches and read. Every response must still be
+// durable when it is sent, so a second manager over the same store dir
+// re-serves each request with the same result and without interning
+// anything; and once the cold work is committed, warm reads log nothing.
+TEST(ProtocolWalTest, ConcurrentWarmReadsAndColdRequestsStayDurable) {
+  namespace fs = std::filesystem;
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("lacon_service_concurrent_wal_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  ::setenv("LACON_WAL", "on", 1);
+  ::setenv("LACON_STORE_DIR", dir.c_str(), 1);
+  ::setenv("LACON_STORE", "off", 1);
+
+  const auto line = [](int depth, const char* query, int horizon) {
+    return "{\"model\":\"mobile\",\"n\":3,\"depth\":" + std::to_string(depth) +
+           ",\"query\":\"" + query +
+           "\",\"horizon\":" + std::to_string(horizon) + "}";
+  };
+  const std::vector<std::string> warm = {
+      line(1, "layers", 1), line(1, "valence", 1), line(1, "similarity", 1),
+      line(1, "diameter", 1)};
+  const std::vector<std::string> cold = {
+      line(2, "layers", 2),   line(2, "similarity", 2), line(1, "valence", 2),
+      line(2, "diameter", 2), line(2, "valence", 2),    line(2, "valence", 3),
+      line(3, "layers", 3),   line(3, "similarity", 3), line(3, "valence", 1)};
+
+  std::mutex mu;
+  std::map<std::string, std::string> results;  // request -> result payload
+  const auto serve = [&](SessionManager& sessions, const std::string& req) {
+    const auto doc = Json::parse(handle_line(sessions, req));
+    ASSERT_TRUE(doc.has_value());
+    ASSERT_EQ(find_path(*doc, {"status"})->as_string(), "ok") << req;
+    const std::string result = find_path(*doc, {"result"})->dump();
+    std::lock_guard<std::mutex> lock(mu);
+    const auto [it, fresh] = results.emplace(req, result);
+    EXPECT_TRUE(fresh || it->second == result) << req;
+  };
+
+  auto& bytes = runtime::Stats::global().counter("wal.bytes_appended");
+  {
+    SessionManager sessions;
+    for (const std::string& req : warm) serve(sessions, req);
+
+    std::atomic<bool> cold_done{false};
+    std::vector<std::thread> readers;
+    for (int r = 0; r < 3; ++r) {
+      readers.emplace_back([&, r] {
+        for (std::size_t i = r; !cold_done.load() || i < warm.size() * 2;
+             ++i) {
+          serve(sessions, warm[i % warm.size()]);
+        }
+      });
+    }
+    std::thread writer([&] {
+      for (const std::string& req : cold) serve(sessions, req);
+      cold_done.store(true);
+    });
+    writer.join();
+    for (std::thread& t : readers) t.join();
+
+    // Everything is committed: a warm-only phase appends no byte.
+    const std::uint64_t before = bytes.value();
+    std::vector<std::thread> again;
+    for (int r = 0; r < 2; ++r) {
+      again.emplace_back([&] {
+        for (const std::string& req : warm) serve(sessions, req);
+        for (const std::string& req : cold) serve(sessions, req);
+      });
+    }
+    for (std::thread& t : again) t.join();
+    EXPECT_EQ(bytes.value(), before);
+    // No save_all: the manager dies as a kill -9 would leave it.
+  }
+
+  SessionManager recovered;
+  for (const auto& [req, result] : results) {
+    const auto doc = Json::parse(handle_line(recovered, req));
+    ASSERT_TRUE(doc.has_value());
+    EXPECT_EQ(find_path(*doc, {"result"})->dump(), result) << req;
+    EXPECT_EQ(find_path(*doc, {"metrics", "new_states"})->as_number(), 0.0)
+        << req;
+    EXPECT_EQ(find_path(*doc, {"metrics", "new_views"})->as_number(), 0.0)
+        << req;
   }
 
   ::unsetenv("LACON_WAL");

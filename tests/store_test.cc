@@ -12,9 +12,11 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -743,8 +745,7 @@ TEST_F(StoreTest, WalResetToAfterSnapshotLogsOnlyNewWork) {
   store::SnapshotMeta meta;
   ASSERT_TRUE(store::probe(snap, &meta).ok());
   ASSERT_TRUE(
-      wal.reset_to(*cold.model, meta.num_views, meta.num_states,
-                   cold.engine.get())
+      wal.reset_to(meta.num_views, meta.num_states, cold.engine.get())
           .ok());
   EXPECT_EQ(wal.log_bytes(), 0u);
   EXPECT_EQ(wal.records_appended(), 0u);
@@ -918,6 +919,307 @@ TEST_F(StoreTest, LemmaFactsSurviveWalReplay) {
   ASSERT_TRUE(wal.replay(model, &eng, &warm, &rs).ok());
   EXPECT_GT(rs.records_applied, 0u);
   expect_same_facts(warm.export_facts(), written);
+}
+
+// --- O(1) empty commits: the cache-epoch test in Wal::append ---------------
+
+std::uint64_t counter(const char* name) {
+  return runtime::Stats::global().counter(name).value();
+}
+
+// Gives `to` (empty) the views and states of `from` under the same ids, and
+// none of its caches.
+void copy_arenas(const LayeredModel& from, LayeredModel& to) {
+  for (std::size_t id = 0; id < from.num_views(); ++id) {
+    const auto v = static_cast<ViewId>(id);
+    ASSERT_EQ(to.views().restore(from.views().node(v)), v);
+  }
+  for (std::size_t id = 0; id < from.num_states(); ++id) {
+    const StateRef s = from.state(static_cast<StateId>(id));
+    GlobalState copy;
+    copy.env.assign(s.env.begin(), s.env.end());
+    copy.locals.assign(s.locals.begin(), s.locals.end());
+    copy.decisions.assign(s.decisions.begin(), s.decisions.end());
+    ASSERT_EQ(to.restore_state(std::move(copy)), static_cast<StateId>(id));
+  }
+}
+
+// Opens a fresh WAL at `file` over `inst` and replays the (empty) log.
+void open_fresh(store::Wal& wal, Instance& inst, const std::string& file,
+                LemmaStore* lemmas = nullptr) {
+  ASSERT_TRUE(wal.open(*inst.model, file).ok());
+  ASSERT_TRUE(wal.replay(*inst.model, inst.engine.get(), lemmas).ok());
+}
+
+// Replays `file` into a fresh mobile n=3 instance at `horizon`.
+Instance replayed(const std::string& file, int horizon) {
+  Instance inst = make_instance(ModelKind::kMobile, 3, 1, horizon);
+  store::Wal wal;
+  EXPECT_TRUE(wal.open(*inst.model, file).ok());
+  EXPECT_TRUE(wal.replay(*inst.model, inst.engine.get()).ok());
+  return inst;
+}
+
+TEST_F(StoreTest, WalEmptyCommitScansNothingAndWritesNothing) {
+  auto inst = make_instance(ModelKind::kMobile, 3, 1, 3);
+  store::Wal wal;
+  open_fresh(wal, inst, path("empty.wal"));
+  analyze(inst, 2);
+  ASSERT_TRUE(wal.append(*inst.model, inst.engine.get()).ok());
+
+  const std::uint64_t empty = counter("wal.empty_commits");
+  const std::uint64_t bytes = counter("wal.bytes_appended");
+  const std::uint64_t records = wal.records_appended();
+  // The same analysis again reads every cache and changes none of them.
+  analyze(inst, 2);
+  ASSERT_TRUE(wal.append(*inst.model, inst.engine.get()).ok());
+  EXPECT_EQ(counter("wal.empty_commits"), empty + 1);
+  EXPECT_EQ(counter("wal.bytes_appended"), bytes);
+  EXPECT_EQ(wal.records_appended(), records);
+}
+
+// Each of the four cache kinds, changed alone after a commit (no new views
+// or states), must still reach the log: its epoch moved, so the next append
+// scans and logs it.
+TEST_F(StoreTest, WalLogsALayerEntryAddedAlone) {
+  const std::string file = path("layer.wal");
+  auto source = make_instance(ModelKind::kMobile, 3, 1, 3);
+  reachable_by_depth(*source.model, 2);
+  const auto layers = source.model->export_layer_cache();
+  ASSERT_FALSE(layers.empty());
+
+  auto inst = make_instance(ModelKind::kMobile, 3, 1, 3);
+  store::Wal wal;
+  open_fresh(wal, inst, file);
+  copy_arenas(*source.model, *inst.model);
+  ASSERT_TRUE(wal.append(*inst.model, inst.engine.get()).ok());
+  const std::uint64_t records = wal.records_appended();
+  const std::size_t states = inst.model->num_states();
+  const std::size_t views = inst.model->num_views();
+
+  inst.model->import_layer_cache(layers);
+  EXPECT_EQ(inst.model->num_states(), states);
+  EXPECT_EQ(inst.model->num_views(), views);
+  ASSERT_TRUE(wal.append(*inst.model, inst.engine.get()).ok());
+  EXPECT_EQ(wal.records_appended(), records + 1);
+  wal.close();
+
+  EXPECT_EQ(replayed(file, 3).model->export_layer_cache(), layers);
+}
+
+TEST_F(StoreTest, WalLogsAFingerprintRowPublishedAlone) {
+  const std::string file = path("rows.wal");
+  auto inst = make_instance(ModelKind::kMobile, 3, 1, 3);
+  store::Wal wal;
+  open_fresh(wal, inst, file);
+  const auto levels = reachable_by_depth(*inst.model, 2);
+  ASSERT_TRUE(wal.append(*inst.model, inst.engine.get()).ok());
+  const std::uint64_t records = wal.records_appended();
+  const std::size_t states = inst.model->num_states();
+
+  similarity_graph(*inst.model, levels[1]);  // publishes rows, interns none
+  EXPECT_EQ(inst.model->num_states(), states);
+  ASSERT_TRUE(wal.append(*inst.model, inst.engine.get()).ok());
+  EXPECT_EQ(wal.records_appended(), records + 1);
+  wal.close();
+
+  auto warm = replayed(file, 3);
+  for (StateId x : levels[1]) {
+    const std::uint64_t* row = warm.model->cached_fingerprint_row(x);
+    ASSERT_NE(row, nullptr) << "state " << x;
+    const std::uint64_t* want = inst.model->cached_fingerprint_row(x);
+    EXPECT_TRUE(std::equal(row, row + 3, want)) << "state " << x;
+  }
+}
+
+TEST_F(StoreTest, WalLogsAMemoUpgradeAlone) {
+  const std::string file = path("memo.wal");
+  auto inst = make_instance(ModelKind::kMobile, 3, 1, 1);
+  store::Wal wal;
+  open_fresh(wal, inst, file);
+  // Depth 3 caches the layers of levels 0..2 and interns level 3, so the
+  // horizon-1 walk below a level-2 state interns nothing.
+  const auto levels = reachable_by_depth(*inst.model, 3);
+  inst.engine->classify_all(levels[1]);
+  ASSERT_TRUE(wal.append(*inst.model, inst.engine.get()).ok());
+  const std::uint64_t records = wal.records_appended();
+  const std::size_t states = inst.model->num_states();
+  const std::uint64_t layer_epoch = inst.model->cache_epoch();
+
+  // A level-2 state memoized with lookahead 0 (reached from level 1) gets
+  // its entry upgraded to lookahead 1 by a direct query.
+  std::optional<StateId> shallow;
+  for (const auto& e : inst.engine->export_memo()) {
+    const bool level2 = std::binary_search(levels[2].begin(),
+                                           levels[2].end(), e.x);
+    if (level2 && e.lookahead == 0 && !(e.v0 && e.v1)) {
+      shallow = e.x;
+      break;
+    }
+  }
+  ASSERT_TRUE(shallow.has_value());
+  inst.engine->valence(*shallow);
+  EXPECT_EQ(inst.model->num_states(), states);
+  EXPECT_EQ(inst.model->cache_epoch(), layer_epoch);
+  ASSERT_TRUE(wal.append(*inst.model, inst.engine.get()).ok());
+  EXPECT_EQ(wal.records_appended(), records + 1);
+  wal.close();
+
+  bool upgraded = false;
+  for (const auto& e : replayed(file, 1).engine->export_memo()) {
+    upgraded = upgraded || (e.x == *shallow && e.lookahead == 1);
+  }
+  EXPECT_TRUE(upgraded);
+}
+
+TEST_F(StoreTest, WalLogsALemmaMinMergeAlone) {
+  const std::string file = path("lemma_merge.wal");
+  auto rule = min_after_round(2);
+  IisModel model(3, *rule);
+  LemmaStore lemmas;
+  ValenceEngine eng(model, 3, Exactness::kQuiescence, &lemmas);
+  store::Wal wal;
+  ASSERT_TRUE(wal.open(model, file).ok());
+  ASSERT_TRUE(wal.replay(model, &eng, &lemmas).ok());
+  classify_reachable(model, eng, 2);
+  ASSERT_TRUE(wal.append(model, &eng, &lemmas).ok());
+  const std::uint64_t records = wal.records_appended();
+
+  // Re-proving a fact with a smaller lookahead lowers it in place.
+  std::optional<LemmaStore::Fact> deep;
+  for (const LemmaStore::Fact& f : lemmas.export_facts()) {
+    if (f.lookahead >= 1) {
+      deep = f;
+      break;
+    }
+  }
+  ASSERT_TRUE(deep.has_value());
+  const std::size_t facts = lemmas.size();
+  ValenceInfo info;
+  info.v0 = deep->v0;
+  info.v1 = deep->v1;
+  info.exact = true;
+  lemmas.publish({deep->sig_hi, deep->sig_lo}, deep->lookahead - 1, info);
+  EXPECT_EQ(lemmas.size(), facts);
+  ASSERT_TRUE(wal.append(model, &eng, &lemmas).ok());
+  EXPECT_EQ(wal.records_appended(), records + 1);
+  wal.close();
+
+  auto rule2 = min_after_round(2);
+  IisModel model2(3, *rule2);
+  LemmaStore warm;
+  ValenceEngine eng2(model2, 3, Exactness::kQuiescence, &warm);
+  store::Wal w;
+  ASSERT_TRUE(w.open(model2, file).ok());
+  ASSERT_TRUE(w.replay(model2, &eng2, &warm).ok());
+  expect_same_facts(warm.export_facts(), lemmas.export_facts());
+}
+
+// Epochs are remembered per engine instance, not per address: an engine
+// built in a destroyed one's storage, with the same epoch value, is still a
+// stranger whose memo the next append must scan.
+TEST_F(StoreTest, WalAppendsTheMemoOfAnEngineBuiltInAFreedOnesPlace) {
+  const std::string file = path("engines.wal");
+  auto inst = make_instance(ModelKind::kMobile, 3, 1, 3);
+  store::Wal wal;
+  open_fresh(wal, inst, file);
+  const auto levels = reachable_by_depth(*inst.model, 2);
+
+  std::optional<ValenceEngine> eng;
+  eng.emplace(*inst.model, 1, Exactness::kQuiescence);
+  const ValenceEngine* first = &*eng;
+  eng->classify_all(levels[1]);
+  ASSERT_TRUE(wal.append(*inst.model, &*eng).ok());
+  const std::uint64_t epoch = eng->memo_epoch();
+  const std::uint64_t records = wal.records_appended();
+
+  // Horizon 0 memoizes one new entry per state and computes no layer; stop
+  // at the old engine's epoch so only the instance tells the two apart.
+  eng.reset();
+  eng.emplace(*inst.model, 0, Exactness::kQuiescence);
+  ASSERT_EQ(&*eng, first);
+  for (std::size_t id = 0;
+       id < inst.model->num_states() && eng->memo_epoch() < epoch; ++id) {
+    eng->valence(static_cast<StateId>(id));
+  }
+  ASSERT_EQ(eng->memo_epoch(), epoch);
+  ASSERT_TRUE(wal.append(*inst.model, &*eng).ok());
+  EXPECT_EQ(wal.records_appended(), records + 1);
+  wal.close();
+
+  EXPECT_EQ(replayed(file, 0).engine->export_memo().size(),
+            eng->export_memo().size());
+}
+
+TEST_F(StoreTest, WalFirstAppendAfterReplayAndResetScans) {
+  const std::string snap = path("scan.store");
+  const std::string file = path("scan.wal");
+  auto cold = make_instance(ModelKind::kMobile, 3, 1, 3);
+  {
+    store::Wal wal;
+    open_fresh(wal, cold, file);
+    analyze(cold, 2);
+    ASSERT_TRUE(wal.append(*cold.model, cold.engine.get()).ok());
+  }
+
+  // After replay nothing is new, but the first append cannot know that
+  // without a scan; the second can.
+  auto warm = replayed(file, 3);
+  store::Wal wal;
+  ASSERT_TRUE(wal.open(*warm.model, file).ok());
+  ASSERT_TRUE(wal.replay(*warm.model, warm.engine.get()).ok());
+  std::uint64_t empty = counter("wal.empty_commits");
+  ASSERT_TRUE(wal.append(*warm.model, warm.engine.get()).ok());
+  EXPECT_EQ(counter("wal.empty_commits"), empty);
+  ASSERT_TRUE(wal.append(*warm.model, warm.engine.get()).ok());
+  EXPECT_EQ(counter("wal.empty_commits"), empty + 1);
+
+  // Likewise after a compaction reset.
+  ASSERT_TRUE(store::save(*warm.model, snap, warm.engine.get()).ok());
+  store::SnapshotMeta meta;
+  ASSERT_TRUE(store::probe(snap, &meta).ok());
+  ASSERT_TRUE(
+      wal.reset_to(meta.num_views, meta.num_states, warm.engine.get()).ok());
+  empty = counter("wal.empty_commits");
+  ASSERT_TRUE(wal.append(*warm.model, warm.engine.get()).ok());
+  EXPECT_EQ(counter("wal.empty_commits"), empty);
+  ASSERT_TRUE(wal.append(*warm.model, warm.engine.get()).ok());
+  EXPECT_EQ(counter("wal.empty_commits"), empty + 1);
+}
+
+// Regression: reset_to used to mark every cache entry of the live model as
+// persisted, so rows published between the compaction's save and its reset
+// were in neither the snapshot nor the log.
+TEST_F(StoreTest, WalResetKeepsRowsPublishedAfterTheSaveLoggable) {
+  const std::string snap = path("gap.store");
+  const std::string file = path("gap.wal");
+  auto cold = make_instance(ModelKind::kMobile, 3, 1, 3);
+  store::Wal wal;
+  open_fresh(wal, cold, file);
+  const auto levels = reachable_by_depth(*cold.model, 1);
+  ASSERT_TRUE(wal.append(*cold.model, cold.engine.get()).ok());
+  ASSERT_TRUE(store::save(*cold.model, snap, cold.engine.get()).ok());
+
+  const std::size_t states = cold.model->num_states();
+  similarity_graph(*cold.model, levels[1]);  // rows after the save
+  ASSERT_EQ(cold.model->num_states(), states);
+
+  store::SnapshotMeta meta;
+  ASSERT_TRUE(store::probe(snap, &meta).ok());
+  ASSERT_TRUE(
+      wal.reset_to(meta.num_views, meta.num_states, cold.engine.get()).ok());
+  ASSERT_TRUE(wal.append(*cold.model, cold.engine.get()).ok());
+  EXPECT_EQ(wal.records_appended(), 1u);
+  wal.close();
+
+  auto warm = make_instance(ModelKind::kMobile, 3, 1, 3);
+  ASSERT_TRUE(store::load(*warm.model, snap, warm.engine.get()).ok());
+  store::Wal w;
+  ASSERT_TRUE(w.open(*warm.model, file).ok());
+  ASSERT_TRUE(w.replay(*warm.model, warm.engine.get()).ok());
+  for (StateId x : levels[1]) {
+    EXPECT_NE(warm.model->cached_fingerprint_row(x), nullptr) << "state " << x;
+  }
 }
 
 // --- env knob parsing (the LACON_THREADS warn-once contract) --------------

@@ -15,8 +15,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -232,6 +234,89 @@ TEST(TraceSpans, ChromeExportCarriesEventsAndThreadNames) {
   EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
   EXPECT_NE(json.find("\"thread_name\""), std::string::npos);
   EXPECT_NE(json.find("\"arg\":9"), std::string::npos);
+}
+
+// A two-process model whose every step extends one process's view, so each
+// state has two fresh successors. It records the trace phase each layer
+// computation runs under.
+class PhaseProbeModel final : public LayeredModel {
+ public:
+  explicit PhaseProbeModel(const DecisionRule& rule) : LayeredModel(2, rule) {}
+  std::string name() const override { return "phase-probe"; }
+
+  std::vector<std::string> phases() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return phases_;
+  }
+
+ protected:
+  std::vector<StateId> compute_layer(StateId x) override {
+    {
+      const trace::SpanSite* site = trace::current_phase();
+      std::lock_guard<std::mutex> lock(mu_);
+      phases_.emplace_back(site == nullptr ? "" : site->name);
+    }
+    const StateRef s = state(x);
+    std::vector<StateId> out;
+    for (ProcessId i = 0; i < n(); ++i) {
+      GlobalState next;
+      next.env.assign(s.env.begin(), s.env.end());
+      next.locals.assign(s.locals.begin(), s.locals.end());
+      next.decisions.assign(s.decisions.begin(), s.decisions.end());
+      const auto idx = static_cast<std::size_t>(i);
+      next.locals[idx] = views().extend(s.locals[idx], {});
+      out.push_back(intern(std::move(next)));
+    }
+    return out;
+  }
+
+ private:
+  std::mutex mu_;
+  std::vector<std::string> phases_;
+};
+
+// Layer work is charged to explore.expand at every worker count: one expand
+// phase span per depth on the calling thread, and every layer computation
+// inside it (at one worker the phase runs inline, never in the merge).
+TEST(TraceSpans, LayerWorkRunsInOneExpandPhasePerDepth) {
+  ModeGuard mode(trace::Mode::kSpans);
+  static const auto rule = min_when_all_known(1);  // outlives the models
+  constexpr int kDepth = 3;
+  for (unsigned workers : {1u, 4u}) {
+    WorkerCountOverride scoped(workers);
+    trace::clear();
+    PhaseProbeModel model(*rule);
+    std::size_t expanded = 0;
+    {
+      trace::ScopedSpan outer(g_outer_site);
+      const auto levels = reachable_by_depth(model, kDepth);
+      ASSERT_EQ(levels.size(), static_cast<std::size_t>(kDepth + 1));
+      for (int d = 0; d < kDepth; ++d) expanded += levels[d].size();
+    }
+
+    // Every frontier state expanded once, all under the phase.
+    const std::vector<std::string> phases = model.phases();
+    EXPECT_EQ(phases.size(), expanded) << workers << " workers";
+    for (const std::string& p : phases) {
+      EXPECT_EQ(p, "expand") << workers << " workers";
+    }
+
+    const std::vector<trace::CollectedSpan> spans = trace::collect();
+    const auto outer = std::find_if(spans.begin(), spans.end(), [](const auto& s) {
+      return std::string_view(s.name) == "outer";
+    });
+    ASSERT_NE(outer, spans.end());
+    std::vector<std::uint64_t> expand_depths;
+    std::size_t merges = 0;
+    for (const auto& s : spans) {
+      if (s.tid != outer->tid || s.depth != outer->depth + 1) continue;
+      if (std::string_view(s.name) == "expand") expand_depths.push_back(s.arg);
+      if (std::string_view(s.name) == "merge") ++merges;
+    }
+    EXPECT_EQ(expand_depths, (std::vector<std::uint64_t>{0, 1, 2}))
+        << workers << " workers";
+    EXPECT_EQ(merges, static_cast<std::size_t>(kDepth)) << workers << " workers";
+  }
 }
 
 // --- MetricsSnapshot ----------------------------------------------------
