@@ -42,13 +42,17 @@ LayeredModel::LayeredModel(int n, const DecisionRule& rule,
 }
 
 LayeredModel::~LayeredModel() {
-  // Fingerprint rows are plain heap arrays hung off atomic slots; analysis
-  // has quiesced by destruction time, so a relaxed sweep suffices.
+  // Fingerprint rows and layers are plain heap objects hung off atomic
+  // slots; analysis has quiesced by destruction time, so a sweep over the
+  // claimed id range suffices.
   const std::size_t count = arena_.size();
   for (std::size_t i = 0; i < count; ++i) {
-    const auto* slot = fp_memo_.try_get(i);
-    if (slot == nullptr) continue;
-    delete[] slot->load(std::memory_order_acquire);
+    if (const auto* slot = fp_memo_.try_get(i)) {
+      delete[] slot->load(std::memory_order_acquire);
+    }
+    if (const auto* slot = layer_memo_.try_get(i)) {
+      delete slot->load(std::memory_order_acquire);
+    }
   }
 }
 
@@ -114,30 +118,51 @@ void LayeredModel::restore_fingerprint_row(StateId x,
 
 std::uint64_t LayeredModel::cache_epoch() const noexcept {
   std::uint64_t sum = rows_published_.load(std::memory_order_acquire);
-  for (const LayerShard& shard : layer_shards_) sum += shard.epoch.load();
+  for (const LayerEpoch& e : layer_epochs_) {
+    sum += e.value.load(std::memory_order_acquire);
+  }
   return sum;
 }
 
 std::vector<std::pair<StateId, std::vector<StateId>>>
-LayeredModel::export_layer_cache() {
+LayeredModel::export_layer_cache() const {
   std::vector<std::pair<StateId, std::vector<StateId>>> out;
-  for (LayerShard& shard : layer_shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (const auto& [x, succ] : shard.map) out.emplace_back(x, succ);
+  const std::size_t count = arena_.size();
+  for (std::size_t id = 0; id < count; ++id) {
+    if (const std::vector<StateId>* succ =
+            cached_layer(static_cast<StateId>(id))) {
+      out.emplace_back(static_cast<StateId>(id), *succ);
+    }
   }
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
   return out;
 }
 
 void LayeredModel::import_layer_cache(
     std::vector<std::pair<StateId, std::vector<StateId>>> entries) {
-  for (auto& [x, succ] : entries) {
-    LayerShard& shard =
-        layer_shards_[static_cast<std::size_t>(x) % kLayerShards];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (shard.map.emplace(x, std::move(succ)).second) shard.epoch.bump();
+  for (auto& [x, succ] : entries) publish_layer(x, std::move(succ));
+}
+
+const std::vector<StateId>* LayeredModel::cached_layer(StateId x) const {
+  const auto* slot = layer_memo_.try_get(static_cast<std::size_t>(x));
+  if (slot == nullptr) return nullptr;
+  return slot->load(std::memory_order_acquire);
+}
+
+const std::vector<StateId>& LayeredModel::publish_layer(
+    StateId x, std::vector<StateId> succ) {
+  auto& slot = layer_memo_.slot(static_cast<std::size_t>(x));
+  auto* mine = new std::vector<StateId>(std::move(succ));
+  const std::vector<StateId>* expected = nullptr;
+  if (slot.compare_exchange_strong(expected, mine, std::memory_order_acq_rel,
+                                   std::memory_order_acquire)) {
+    // Only the winner counts, after every successor it references was
+    // interned (cache_epoch's contract).
+    layer_epochs_[static_cast<std::size_t>(x) % kLayerShards].value.fetch_add(
+        1, std::memory_order_release);
+    return *mine;
   }
+  delete mine;
+  return *expected;
 }
 
 const std::vector<StateId>& LayeredModel::initial_states() {
@@ -166,24 +191,14 @@ const std::vector<StateId>& LayeredModel::initial_states() {
 }
 
 const std::vector<StateId>& LayeredModel::layer(StateId x) {
-  LayerShard& shard =
-      layer_shards_[static_cast<std::size_t>(x) % kLayerShards];
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(x);
-    if (it != shard.map.end()) return it->second;
-  }
-  // Compute outside the lock so distinct states in one shard expand
-  // concurrently. A racing computation of the same layer produces the same
-  // vector (interning is content-addressed); emplace keeps the first copy.
+  if (const std::vector<StateId>* cached = cached_layer(x)) return *cached;
+  // A racing computation of the same layer produces the same vector
+  // (interning is content-addressed); the first publication wins.
   std::vector<StateId> succ = compute_layer(x);
   std::sort(succ.begin(), succ.end());
   succ.erase(std::unique(succ.begin(), succ.end()), succ.end());
   assert(!succ.empty() && "a successor function never returns an empty set");
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const auto [it, inserted] = shard.map.emplace(x, std::move(succ));
-  if (inserted) shard.epoch.bump();
-  return it->second;
+  return publish_layer(x, std::move(succ));
 }
 
 ProcessSet LayeredModel::failed_at(StateId) const { return {}; }

@@ -16,7 +16,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -25,7 +24,7 @@
 #include "core/sym.hpp"
 #include "core/types.hpp"
 #include "core/view.hpp"
-#include "runtime/locked_epoch.hpp"
+#include "runtime/slot_vector.hpp"
 #include "util/process_set.hpp"
 
 namespace lacon {
@@ -56,11 +55,16 @@ class LayeredModel {
   const std::vector<StateId>& initial_states();
 
   // S(x): the layer of x, deduplicated, in a deterministic order. Cached in
-  // a sharded, striped-mutex map, so concurrent layer computations from the
-  // parallel runtime are safe; racing computations of the same layer are
-  // idempotent because interning is content-addressed. The returned
-  // reference stays valid for the model's lifetime.
+  // a lock-free slot per state: a hit is one acquire load. Racing
+  // computations of the same layer are idempotent because interning is
+  // content-addressed; the first publication CAS wins and losers free their
+  // copy, so every caller gets the same reference, valid for the model's
+  // lifetime.
   const std::vector<StateId>& layer(StateId x);
+
+  // The layer of x if one was already published, nullptr otherwise (the
+  // store's save-side iteration; never computes).
+  const std::vector<StateId>* cached_layer(StateId x) const;
 
   // The processes failed at x (faulty in *every* run through x). The three
   // asynchronous-flavoured models display no finite failure, so their
@@ -159,21 +163,24 @@ class LayeredModel {
   // keeps an existing row if already published).
   void restore_fingerprint_row(StateId x, const std::uint64_t* row);
 
-  // The layer cache as (state, successors) entries, sorted by state id.
-  // Call only while no layer computation is in flight.
-  std::vector<std::pair<StateId, std::vector<StateId>>> export_layer_cache();
+  // The layer cache as (state, successors) entries, sorted by state id (a
+  // walk over the ids in order). Takes no lock; a layer published during
+  // the walk may be missed.
+  std::vector<std::pair<StateId, std::vector<StateId>>> export_layer_cache()
+      const;
 
-  // Replays cached layers from a snapshot. Entries whose key is already
-  // cached keep the existing vector (they are equal by construction).
+  // Replays cached layers from a snapshot through layer()'s publication
+  // path. Entries whose key is already cached keep the existing vector
+  // (they are equal by construction).
   void import_layer_cache(
       std::vector<std::pair<StateId, std::vector<StateId>>> entries);
 
-  // Mutation epoch of the two caches above: +1 for every layer-cache insert
-  // that wins and every fingerprint row that wins its publication CAS. Two
-  // equal reads mean neither cache gained an entry in between, which is how
-  // store::Wal tells an empty commit without scanning. Each bump follows
-  // the interning of every state its entry references, so a reader that
-  // loads the epoch and then num_states() sees those states.
+  // Mutation epoch of the two caches above: +1 for every layer and every
+  // fingerprint row that wins its publication CAS. Two equal reads mean
+  // neither cache gained an entry in between, which is how store::Wal
+  // tells an empty commit without scanning. Each bump follows the
+  // interning of every state its entry references, so a reader that loads
+  // the epoch and then num_states() sees those states.
   std::uint64_t cache_epoch() const noexcept;
   // ------------------------------------------------------------------------
 
@@ -275,12 +282,17 @@ class LayeredModel {
   Value updated_decision(ProcessId i, Value current, ViewId new_view);
 
  private:
+  // Layer publications, counted per shard (x % kLayerShards) so that
+  // concurrent winners rarely share a counter; each on its own cache line.
   static constexpr std::size_t kLayerShards = 64;
-  struct LayerShard {
-    std::mutex mu;
-    std::unordered_map<StateId, std::vector<StateId>> map;
-    runtime::LockedEpoch epoch;  // inserts
+  struct alignas(64) LayerEpoch {
+    std::atomic<std::uint64_t> value{0};
   };
+
+  // Publishes `succ` as x's layer unless one is already published; returns
+  // the published layer either way.
+  const std::vector<StateId>& publish_layer(StateId x,
+                                            std::vector<StateId> succ);
 
   // True when every initial input assignment stays an initial input under
   // any permutation of the processes (checked via adjacent transpositions,
@@ -294,7 +306,10 @@ class LayeredModel {
   StateArena arena_;
   std::vector<StateId> initial_states_;
   std::once_flag initial_once_;
-  std::array<LayerShard, kLayerShards> layer_shards_;
+  // Per-state layers; nullptr until published.
+  runtime::ConcurrentSlotVector<std::atomic<const std::vector<StateId>*>>
+      layer_memo_;
+  std::array<LayerEpoch, kLayerShards> layer_epochs_;
   // Per-state fingerprint rows (n hashes each); nullptr until published.
   runtime::ConcurrentSlotVector<std::atomic<const std::uint64_t*>> fp_memo_;
   // Rows published; on its own cache line so the bump never invalidates

@@ -114,12 +114,11 @@ StateId StateArena::restore_mapped(const StateRef& s,
     shard_waits_->increment();
     lock.lock();
   }
-  auto [lo, hi] = sh.index.equal_range(hash);
-  for (auto it = lo; it != hi; ++it) {
-    if (state(it->second) == s) {
-      hits_->increment();
-      return it->second;
-    }
+  if (const StateId hit = sh.index.find(
+          hash, [&](std::uint32_t id) { return state(id) == s; });
+      hit != runtime::FlatIndex::kNone) {
+    hits_->increment();
+    return hit;
   }
   Header hd;
   hd.offset = word_offset;
@@ -137,7 +136,7 @@ StateId StateArena::restore_mapped(const StateRef& s,
   // truncation depths would differ between mmap and streaming warm starts.
   approx_bytes_.fetch_add(state_footprint(s.env.size(), s.locals.size()),
                           std::memory_order_relaxed);
-  sh.index.emplace(hash, id);
+  sh.index.insert(hash, id);
   restored_->increment();
   mapped_->increment();
   return id;
@@ -176,12 +175,11 @@ StateId StateArena::intern_impl(GlobalState s,
     shard_waits_->increment();  // contended: another intern holds this shard
     lock.lock();
   }
-  auto [lo, hi] = sh.index.equal_range(h);
-  for (auto it = lo; it != hi; ++it) {
-    if (state(it->second) == candidate) {
-      hits_->increment();
-      return it->second;
-    }
+  if (const StateId hit = sh.index.find(
+          h, [&](std::uint32_t id) { return state(id) == candidate; });
+      hit != runtime::FlatIndex::kNone) {
+    hits_->increment();
+    return hit;
   }
   // Miss: copy the payload into the pool, claim a dense id, publish the
   // header, then index it. Only the index insert needs the shard lock for
@@ -223,7 +221,7 @@ StateId StateArena::intern_impl(GlobalState s,
   headers_.slot(static_cast<std::size_t>(id)) = hd;
   approx_bytes_.fetch_add(state_footprint(s.env.size(), n),
                           std::memory_order_relaxed);
-  sh.index.emplace(h, id);
+  sh.index.insert(h, id);
   miss_counter->increment();
   return id;
 }

@@ -19,10 +19,10 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "core/types.hpp"
+#include "runtime/flat_index.hpp"
 #include "runtime/slot_vector.hpp"
 #include "runtime/word_pool.hpp"
 #include "util/hash.hpp"
@@ -78,7 +78,8 @@ std::size_t arena_shard_count() noexcept;
 //
 // Thread-safety: intern() may be called concurrently (the parallel runtime's
 // layer computations do). The index is hash-sharded with striped mutexes
-// (LACON_ARENA_SHARDS, default 64), so interns of distinct states proceed in
+// (LACON_ARENA_SHARDS, default 64), each shard one flat open-addressing
+// table (runtime/flat_index.hpp), so interns of distinct states proceed in
 // parallel; racing interns of equal content land in the same shard, are
 // serialized there, and agree on the id. Ids are claimed from one atomic
 // counter, so they stay dense — but *which* content gets which id depends on
@@ -178,7 +179,7 @@ class StateArena {
     std::mutex mu;
     // hash -> id; equality is confirmed against the pooled payload, so the
     // index stores no second copy of any state.
-    std::unordered_multimap<std::uint64_t, StateId> index;
+    runtime::FlatIndex index;
   };
 
   // 32-bit lanes (locals, decisions) pack two per word.

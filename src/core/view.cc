@@ -78,12 +78,13 @@ ViewId ViewArena::intern_impl(ViewNode nd, runtime::Counter* miss_counter) {
     shard_waits_->increment();
     lock.lock();
   }
-  auto [lo, hi] = sh.index.equal_range(h);
-  for (auto it = lo; it != hi; ++it) {
-    if (node(it->second) == nd) {
-      hits_->increment();
-      return it->second;
-    }
+  if (const std::uint32_t hit = sh.index.find(
+          h, [&](std::uint32_t id) {
+            return node(static_cast<ViewId>(id)) == nd;
+          });
+      hit != runtime::FlatIndex::kNone) {
+    hits_->increment();
+    return static_cast<ViewId>(hit);
   }
   // Footprint uses obs.size(), not capacity(): the estimate must be a pure
   // function of the node's content so guard byte accounting is identical
@@ -93,7 +94,7 @@ ViewId ViewArena::intern_impl(ViewNode nd, runtime::Counter* miss_counter) {
   const std::size_t idx = next_id_.fetch_add(1, std::memory_order_acq_rel);
   const ViewId id = static_cast<ViewId>(idx);
   nodes_.slot(idx) = std::move(nd);
-  sh.index.emplace(h, id);
+  sh.index.insert(h, static_cast<std::uint32_t>(idx));
   miss_counter->increment();
   return id;
 }

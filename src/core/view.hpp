@@ -16,10 +16,10 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "core/types.hpp"
+#include "runtime/flat_index.hpp"
 #include "runtime/slot_vector.hpp"
 #include "util/hash.hpp"
 
@@ -57,9 +57,10 @@ struct ViewNode {
 // Thread-safety: initial()/extend()/known_inputs() may be called
 // concurrently (the parallel runtime's layer computations do). The index is
 // hash-sharded with striped mutexes (LACON_ARENA_SHARDS, shared with
-// StateArena); interning is content-addressed, so racing interns of equal
-// nodes land in the same shard and agree on the id, while distinct nodes
-// proceed in parallel. node() and to_string() are lock-free reads, safe for
+// StateArena), each shard one flat open-addressing table
+// (runtime/flat_index.hpp); interning is content-addressed, so racing
+// interns of equal nodes land in the same shard and agree on the id, while
+// distinct nodes proceed in parallel. node() and to_string() are lock-free reads, safe for
 // any id received through an intern call or another happens-before edge.
 // The known_inputs memo is a per-node atomic slot (no lock at all), so
 // concurrent valence classifications never serialize on it.
@@ -130,7 +131,7 @@ class ViewArena {
   struct alignas(64) Shard {
     std::mutex mu;
     // hash -> id; equality confirmed against the arena-resident node.
-    std::unordered_multimap<std::uint64_t, ViewId> index;
+    runtime::FlatIndex index;
   };
 
   ViewId intern(ViewNode node);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <tuple>
 
 #include "engine/lemma_store.hpp"
 #include "runtime/parallel.hpp"
@@ -35,7 +34,34 @@ ValenceInfo decided_valences(LayeredModel& model, StateId x) {
 }
 
 namespace {
+
 std::atomic<std::uint64_t> g_next_engine_id{1};
+
+// A memo word: (lookahead + 1) << 3 | exact << 2 | v1 << 1 | v0. Zero is
+// "unset", which no stored entry can be (lookahead >= 0).
+constexpr std::uint32_t kMemoV0 = 1u << 0;
+constexpr std::uint32_t kMemoV1 = 1u << 1;
+constexpr std::uint32_t kMemoExact = 1u << 2;
+constexpr int kMemoLookaheadShift = 3;
+
+std::uint32_t pack_memo(int lookahead, const ValenceInfo& info) noexcept {
+  return (static_cast<std::uint32_t>(lookahead + 1) << kMemoLookaheadShift) |
+         (info.v0 ? kMemoV0 : 0) | (info.v1 ? kMemoV1 : 0) |
+         (info.exact ? kMemoExact : 0);
+}
+
+int memo_lookahead(std::uint32_t word) noexcept {
+  return static_cast<int>(word >> kMemoLookaheadShift) - 1;
+}
+
+ValenceInfo memo_info(std::uint32_t word) noexcept {
+  ValenceInfo info;
+  info.v0 = (word & kMemoV0) != 0;
+  info.v1 = (word & kMemoV1) != 0;
+  info.exact = (word & kMemoExact) != 0;
+  return info;
+}
+
 }  // namespace
 
 ValenceEngine::ValenceEngine(LayeredModel& model, int horizon, Exactness mode,
@@ -46,7 +72,7 @@ ValenceEngine::ValenceEngine(LayeredModel& model, int horizon, Exactness mode,
       lemmas_(lemmas),
       instance_id_(
           g_next_engine_id.fetch_add(1, std::memory_order_relaxed)) {
-  assert(horizon >= 0);
+  assert(horizon >= 0 && horizon < kMaxLookahead);
 }
 
 ValenceInfo ValenceEngine::valence(StateId x) {
@@ -59,17 +85,13 @@ ValenceInfo ValenceEngine::valence(StateId x) {
 }
 
 ValenceInfo ValenceEngine::compute(Memo& memo, StateId x, int budget) {
-  MemoShard& shard = memo.shards[static_cast<std::size_t>(x) % kMemoShards];
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(x);
-    if (it != shard.map.end()) {
-      // A bivalent result is maximal; otherwise only reuse results computed
-      // with at least the currently requested lookahead.
-      if (it->second.info.bivalent() || it->second.horizon >= budget) {
-        return it->second.info;
-      }
-    }
+  const std::uint32_t word =
+      memo.entries.slot(x).load(std::memory_order_acquire);
+  if (word != 0) {
+    // A bivalent result is maximal; otherwise only reuse results computed
+    // with at least the currently requested lookahead.
+    const ValenceInfo cached = memo_info(word);
+    if (cached.bivalent() || memo_lookahead(word) >= budget) return cached;
   }
   evaluations_.fetch_add(1, std::memory_order_relaxed);
 
@@ -116,23 +138,27 @@ ValenceInfo ValenceEngine::compute(Memo& memo, StateId x, int budget) {
 
 void ValenceEngine::memoize(Memo& memo, StateId x, int budget,
                             const ValenceInfo& info) {
-  MemoShard& shard = memo.shards[static_cast<std::size_t>(x) % kMemoShards];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  Entry& e = shard.map[x];  // default horizon -1: always overwritten
-  if (e.info.bivalent() && !info.bivalent()) return;
-  if (budget < e.horizon && !info.bivalent()) return;
-  if (e.horizon == budget && e.info.same_set(info) &&
-      e.info.exact == info.exact) {
-    return;  // unchanged: the epoch only counts real changes
+  assert(budget >= 0 && budget <= kMaxLookahead);
+  MemoStripe& stripe = memo.stripes[x % kMemoStripes];
+  std::atomic<std::uint32_t>& entry = memo.entries.slot(x);
+  const std::uint32_t packed = pack_memo(budget, info);
+  std::lock_guard<std::mutex> lock(stripe.mu);
+  // Writers of x are serialized here, so a relaxed read sees the latest.
+  const std::uint32_t word = entry.load(std::memory_order_relaxed);
+  if (word != 0) {  // an unset entry is always overwritten
+    const ValenceInfo held = memo_info(word);
+    if (held.bivalent() && !info.bivalent()) return;
+    if (budget < memo_lookahead(word) && !info.bivalent()) return;
+    if (word == packed) return;  // unchanged: the epoch counts real changes
   }
-  e = Entry{budget, info};
-  shard.epoch.bump();
+  entry.store(packed, std::memory_order_release);
+  stripe.epoch.bump();
 }
 
 std::uint64_t ValenceEngine::memo_epoch() const noexcept {
   std::uint64_t sum = 0;
   for (const Memo* memo : {&memo_, &memo_deep_}) {
-    for (const MemoShard& shard : memo->shards) sum += shard.epoch.load();
+    for (const MemoStripe& stripe : memo->stripes) sum += stripe.epoch.load();
   }
   return sum;
 }
@@ -166,26 +192,29 @@ std::vector<ValenceInfo> ValenceEngine::classify_all(
 
 std::vector<ValenceEngine::MemoEntry> ValenceEngine::export_memo() {
   std::vector<MemoEntry> out;
-  const auto drain = [&out](Memo& memo, bool deep) {
-    for (MemoShard& shard : memo.shards) {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      for (const auto& [x, e] : shard.map) {
-        out.push_back(MemoEntry{x, e.horizon, e.info.v0, e.info.v1,
-                                e.info.exact, deep});
-      }
+  // Every memoized id was interned before its entry was stored, so the
+  // state count bounds the walk; ids come out ascending.
+  const std::size_t states = model_.num_states();
+  const auto drain = [&out, states](const Memo& memo, bool deep) {
+    for (std::size_t id = 0; id < states; ++id) {
+      const auto* entry = memo.entries.try_get(id);
+      if (entry == nullptr) continue;
+      const std::uint32_t word = entry->load(std::memory_order_acquire);
+      if (word == 0) continue;
+      const ValenceInfo info = memo_info(word);
+      out.push_back(MemoEntry{static_cast<StateId>(id), memo_lookahead(word),
+                              info.v0, info.v1, info.exact, deep});
     }
   };
   drain(memo_, false);
   if (mode_ == Exactness::kConvergence) drain(memo_deep_, true);
-  std::sort(out.begin(), out.end(), [](const MemoEntry& a, const MemoEntry& b) {
-    return std::tie(a.deep, a.x) < std::tie(b.deep, b.x);
-  });
   return out;
 }
 
 void ValenceEngine::import_memo(const std::vector<MemoEntry>& entries) {
   for (const MemoEntry& e : entries) {
     if (e.deep && mode_ != Exactness::kConvergence) continue;
+    if (e.lookahead < 0 || e.lookahead > kMaxLookahead) continue;
     ValenceInfo info;
     info.v0 = e.v0;
     info.v1 = e.v1;

@@ -32,13 +32,13 @@
 #include <cstdint>
 #include <mutex>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "core/model.hpp"
 #include "relation/graph.hpp"
 #include "runtime/guard.hpp"
 #include "runtime/locked_epoch.hpp"
+#include "runtime/slot_vector.hpp"
 
 namespace lacon {
 
@@ -129,19 +129,25 @@ class ValenceEngine {
     bool deep = false;
   };
 
-  // Every memo entry, sorted by (deep, x). Takes the shard locks; call only
-  // while no classification is in flight.
+  // Every memo entry, sorted by (deep, x): a walk over the state ids in
+  // order, so it needs no sort. Takes no lock; an entry memoized during the
+  // walk may be missed.
   std::vector<MemoEntry> export_memo();
 
   // Replays entries exported from an engine with the same model content,
   // horizon and mode. Entries merge under the usual strongest-wins rule
-  // (memoize()), so importing into a warm engine is safe.
+  // (memoize()), so importing into a warm engine is safe. Entries with a
+  // lookahead no engine memoizes (negative, or past kMaxLookahead) are
+  // skipped.
   void import_memo(const std::vector<MemoEntry>& entries);
+
+  // The deepest lookahead a memo entry can record.
+  static constexpr int kMaxLookahead = (1 << 28) - 1;
 
   // Mutation epoch of both memos: +1 for every memoize() that changes an
   // entry. Two equal reads mean export_memo() has not changed in between
-  // (store::Wal's empty-commit test). Each shard counts its own changes
-  // under the mutex memoize already holds; this sums the shards.
+  // (store::Wal's empty-commit test). Each stripe counts its own changes
+  // under the mutex memoize already holds; this sums the stripes.
   std::uint64_t memo_epoch() const noexcept;
 
   // Unique per engine over the process lifetime. An address is not: a new
@@ -149,20 +155,19 @@ class ValenceEngine {
   std::uint64_t instance_id() const noexcept { return instance_id_; }
 
  private:
-  struct Entry {
-    int horizon = -1;
-    ValenceInfo info;
-  };
-  // The memo is sharded with striped mutexes so classify_all's concurrent
-  // explorations share results without contending on one lock.
-  static constexpr std::size_t kMemoShards = 16;
-  struct MemoShard {
+  // The memo is dense: one atomic word per StateId, packing the lookahead
+  // the entry was computed with (as lookahead + 1) over the v0/v1/exact
+  // bits, so 0 means "unset". compute() reads an entry with one acquire
+  // load and no lock. memoize() takes the state's stripe mutex only to
+  // serialize its strongest-wins check-then-store and the epoch bump.
+  static constexpr std::size_t kMemoStripes = 16;
+  struct alignas(64) MemoStripe {
     std::mutex mu;
-    std::unordered_map<StateId, Entry> map;
     runtime::LockedEpoch epoch;
   };
   struct Memo {
-    std::array<MemoShard, kMemoShards> shards;
+    runtime::ConcurrentSlotVector<std::atomic<std::uint32_t>> entries;
+    std::array<MemoStripe, kMemoStripes> stripes;
   };
 
   ValenceInfo compute(Memo& memo, StateId x, int budget);

@@ -2,8 +2,8 @@
 // lock-free reads.
 //
 // The sharded arenas (core/state.hpp, core/view.hpp) and the per-state memos
-// (core/model.hpp, core/sym.hpp) are read on every hot-path operation while
-// concurrent layer computations append to them. A std::vector would
+// (core/model.hpp, core/sym.hpp, engine/valence.hpp) are read on every
+// hot-path operation while concurrent layer computations append to them. A std::vector would
 // invalidate references on growth and race on its bookkeeping; here the
 // storage is fixed 1024-element chunks hung off a two-level directory of
 // atomic pointers, so elements never move and readers take no locks.

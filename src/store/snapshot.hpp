@@ -108,8 +108,8 @@ struct SnapshotMeta {
 // Serializes the model's interned space (and `engine`'s memo, when given) to
 // `path`. Writes `path + ".tmp"` and renames, so readers never observe a
 // half-written snapshot. The model must be quiescent (no analysis in
-// flight); the save side only takes the same shard locks export_layer_cache
-// and export_memo do.
+// flight); the save side reads the layer cache and the memo through
+// export_layer_cache and export_memo, which take no locks.
 Result save(LayeredModel& model, const std::string& path,
             ValenceEngine* engine = nullptr, LemmaStore* lemmas = nullptr);
 

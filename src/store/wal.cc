@@ -557,14 +557,18 @@ Result Wal::append(LayeredModel& model,
     persisted_fingerprints_.resize(S, false);
   }
 
-  std::vector<std::pair<StateId, std::vector<StateId>>> layers;
-  for (auto& [x, succ] : model.export_layer_cache()) {
-    if (static_cast<std::uint64_t>(x) >= S || persisted_layers_[x]) continue;
+  // Published layers are immutable, so they are read in place, not copied.
+  std::vector<std::pair<StateId, const std::vector<StateId>*>> layers;
+  for (std::uint64_t id = 0; id < S; ++id) {
+    const auto x = static_cast<StateId>(id);
+    if (persisted_layers_[x]) continue;
+    const std::vector<StateId>* succ = model.cached_layer(x);
+    if (succ == nullptr) continue;
     bool in_range = true;
-    for (StateId y : succ) {
+    for (StateId y : *succ) {
       in_range = in_range && static_cast<std::uint64_t>(y) < S;
     }
-    if (in_range) layers.emplace_back(x, std::move(succ));
+    if (in_range) layers.emplace_back(x, succ);
   }
 
   // One new-memo batch per distinct engine; a record carries one memo block
@@ -654,7 +658,7 @@ Result Wal::append(LayeredModel& model,
     }
     body.u64(layers.size());
     for (const auto& [x, succ] : layers) {
-      codec::encode_layer_entry(body, x, succ);
+      codec::encode_layer_entry(body, x, *succ);
     }
     if (memos.empty()) {
       body.u32(0);
@@ -773,14 +777,10 @@ void Wal::mark_model_persisted(LayeredModel& model, ValenceEngine* engine,
   persisted_memo_.clear();
   persisted_lemmas_.clear();
 
-  for (const auto& [x, succ] : model.export_layer_cache()) {
-    if (static_cast<std::uint64_t>(x) < states) persisted_layers_[x] = true;
-  }
   for (std::uint64_t id = 0; id < states; ++id) {
     const auto x = static_cast<StateId>(id);
-    if (model.cached_fingerprint_row(x) != nullptr) {
-      persisted_fingerprints_[x] = true;
-    }
+    persisted_layers_[x] = model.cached_layer(x) != nullptr;
+    persisted_fingerprints_[x] = model.cached_fingerprint_row(x) != nullptr;
   }
   if (engine != nullptr) {
     for (const auto& e : engine->export_memo()) {

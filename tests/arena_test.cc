@@ -1,6 +1,6 @@
 // Concurrency and flat-storage tests for the sharded hash-consing arenas
 // (core/state.hpp, core/view.hpp) and their supporting runtime pieces
-// (runtime/word_pool.hpp, ConcurrentSlotVector). The stress tests run under
+// (runtime/word_pool.hpp, runtime/flat_index.hpp, ConcurrentSlotVector). The stress tests run under
 // the TSan CI lane (ci.sh), which is where the sharded index and the
 // lock-free pool earn their keep.
 #include <algorithm>
@@ -14,6 +14,8 @@
 #include "core/state.hpp"
 #include "core/view.hpp"
 #include "runtime/fault.hpp"
+#include "runtime/flat_index.hpp"
+#include "runtime/stats.hpp"
 #include "runtime/word_pool.hpp"
 #include "util/hash.hpp"
 
@@ -69,6 +71,83 @@ TEST(WordPoolTest, RegionsNeverSpanChunks) {
   for (std::size_t i = 0; i < 10; ++i) {
     EXPECT_EQ(r[i], static_cast<std::int64_t>(i));
   }
+}
+
+TEST(FlatIndexTest, LookupInEmptyTableMisses) {
+  const runtime::FlatIndex index;
+  EXPECT_EQ(index.capacity(), 0u);
+  bool probed = false;
+  EXPECT_EQ(index.find(42, [&](std::uint32_t) { return probed = true; }),
+            runtime::FlatIndex::kNone);
+  EXPECT_FALSE(probed);  // no slot, so eq is never asked
+}
+
+// Every key under one forced hash: each lookup walks the whole collision
+// run, and growth across several doublings must re-place all of it.
+TEST(FlatIndexTest, AllKeysUnderOneHashSurviveGrowth) {
+  constexpr std::uint64_t kHash = 0x0123456789abcdefULL;
+  constexpr std::uint32_t kKeys = 300;  // 16 -> 1024 slots: six doublings
+  runtime::FlatIndex index;
+  std::size_t capacity = 0;
+  int doublings = 0;
+  for (std::uint32_t id = 0; id < kKeys; ++id) {
+    ASSERT_EQ(index.find(kHash, [&](std::uint32_t got) { return got == id; }),
+              runtime::FlatIndex::kNone);
+    index.insert(kHash, id);
+    if (index.capacity() != capacity) {
+      if (capacity != 0) {
+        EXPECT_EQ(index.capacity(), 2 * capacity);
+        ++doublings;
+      }
+      capacity = index.capacity();
+    }
+    EXPECT_LE(2 * index.size(), index.capacity());  // at most half full
+  }
+  EXPECT_GE(doublings, 4);
+  EXPECT_EQ(index.size(), kKeys);
+  for (std::uint32_t id = 0; id < kKeys; ++id) {
+    EXPECT_EQ(index.find(kHash, [&](std::uint32_t got) { return got == id; }),
+              id);
+  }
+  // A hash whose home slot lies inside the collision run still misses.
+  EXPECT_EQ(index.find(kHash + 1, [](std::uint32_t) { return true; }),
+            runtime::FlatIndex::kNone);
+}
+
+// Two ids under one hash: the stored hash matches for both, so only `eq`
+// (the content check) can pick the right one.
+TEST(FlatIndexTest, EqualHashesAreToldApartByEq) {
+  runtime::FlatIndex index;
+  index.insert(7, 10);
+  index.insert(7, 20);
+  EXPECT_EQ(index.find(7, [](std::uint32_t id) { return id == 20; }), 20u);
+  EXPECT_EQ(index.find(7, [](std::uint32_t id) { return id == 10; }), 10u);
+  EXPECT_EQ(index.find(7, [](std::uint32_t) { return false; }),
+            runtime::FlatIndex::kNone);
+}
+
+// 100k distinct states intern to the dense ids 0..N-1, and re-interning all
+// of them hits every one.
+TEST(StateArenaTest, HundredThousandStatesInternDenseAndRehit) {
+  constexpr std::uint64_t kStates = 100000;
+  const auto make = [](std::uint64_t i) {
+    return GlobalState{{static_cast<std::int64_t>(i)},
+                       {static_cast<ViewId>(i & 0xff), 1, 2},
+                       {kUndecided, kUndecided, kUndecided}};
+  };
+  StateArena arena;
+  for (std::uint64_t i = 0; i < kStates; ++i) {
+    ASSERT_EQ(arena.intern(make(i)), static_cast<StateId>(i));
+  }
+  EXPECT_EQ(arena.size(), kStates);
+  const runtime::Counter& hits =
+      runtime::Stats::global().counter("arena.state_hits");
+  const std::uint64_t hits_before = hits.value();
+  for (std::uint64_t i = 0; i < kStates; ++i) {
+    ASSERT_EQ(arena.intern(make(i)), static_cast<StateId>(i));
+  }
+  EXPECT_EQ(arena.size(), kStates);
+  EXPECT_EQ(hits.value() - hits_before, kStates);
 }
 
 TEST(StateArenaTest, FlatStorageRoundTrips) {

@@ -2,8 +2,11 @@
 // the LayeredModel base machinery.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <random>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -156,6 +159,112 @@ TEST(StateArena, AgreeModuloMatchesReferenceDefinition) {
       EXPECT_EQ(arena.state(ids[a]) == arena.state(ids[b]), ids[a] == ids[b]);
     }
   }
+}
+
+// A two-process model whose environment is one counter word c; S(x) holds
+// the states with c + 1 and c + 2, so layers are cheap and ids predictable.
+class CounterModel : public LayeredModel {
+ public:
+  explicit CounterModel(const DecisionRule& rule)
+      : LayeredModel(2, rule, {{0, 0}}) {}
+  std::string name() const override { return "counter"; }
+
+ protected:
+  std::vector<StateId> compute_layer(StateId x) override {
+    const StateRef s = state(x);
+    std::vector<StateId> out;
+    for (const std::int64_t step : {2, 1}) {
+      out.push_back(intern(GlobalState{
+          {s.env[0] + step},
+          {s.locals.begin(), s.locals.end()},
+          {s.decisions.begin(), s.decisions.end()}}));
+    }
+    return out;
+  }
+  std::vector<std::int64_t> initial_env() const override { return {0}; }
+};
+
+TEST(LayerCache, CachedLayerIsNullUntilPublished) {
+  const auto rule = never_decide();
+  CounterModel model(*rule);
+  const StateId x = model.initial_states().front();
+  EXPECT_EQ(model.cached_layer(x), nullptr);
+  const std::vector<StateId>& succ = model.layer(x);
+  EXPECT_EQ(succ.size(), 2u);
+  EXPECT_TRUE(std::is_sorted(succ.begin(), succ.end()));
+  EXPECT_EQ(model.cached_layer(x), &succ);
+}
+
+// Four workers race layer(x) on one x: whoever loses the publication CAS
+// discards its copy, so every caller holds the same reference and the
+// cache epoch counts exactly one insert.
+TEST(LayerCache, RacingComputationsShareOnePublication) {
+  const auto rule = never_decide();
+  for (int round = 0; round < 20; ++round) {
+    CounterModel model(*rule);
+    const StateId x = model.initial_states().front();
+    const std::uint64_t epoch = model.cache_epoch();
+    constexpr int kWorkers = 4;
+    std::vector<const std::vector<StateId>*> got(kWorkers, nullptr);
+    std::atomic<int> ready{0};
+    std::vector<std::thread> workers;
+    for (int w = 0; w < kWorkers; ++w) {
+      workers.emplace_back([&, w] {
+        ready.fetch_add(1);
+        while (ready.load() < kWorkers) {
+        }
+        got[static_cast<std::size_t>(w)] = &model.layer(x);
+      });
+    }
+    for (auto& t : workers) t.join();
+    for (int w = 1; w < kWorkers; ++w) {
+      EXPECT_EQ(got[static_cast<std::size_t>(w)], got[0]);
+    }
+    EXPECT_EQ(model.cache_epoch(), epoch + 1);
+    EXPECT_EQ(model.cached_layer(x), got[0]);
+  }
+}
+
+// export_layer_cache walks the ids in order: layers published in
+// descending id order still come out ascending, with their contents.
+TEST(LayerCache, ExportIsIdSortedWithoutASort) {
+  const auto rule = never_decide();
+  CounterModel model(*rule);
+  std::vector<StateId> frontier = {model.initial_states().front()};
+  for (int d = 0; d < 4; ++d) {
+    std::vector<StateId> next;
+    for (StateId x : frontier) {
+      for (StateId y : model.layer(x)) next.push_back(y);
+    }
+    std::sort(next.begin(), next.end());
+    next.erase(std::unique(next.begin(), next.end()), next.end());
+    frontier = std::move(next);
+  }
+  // Newest first (the older ones are already cached); the layers of the
+  // newest states intern states past `layered`, which stay uncached.
+  const auto layered = static_cast<StateId>(model.num_states());
+  for (StateId x = layered; x-- > 0;) model.layer(x);
+  const auto exported = model.export_layer_cache();
+  ASSERT_EQ(exported.size(), layered);
+  for (std::size_t i = 0; i < exported.size(); ++i) {
+    EXPECT_EQ(exported[i].first, static_cast<StateId>(i));
+    EXPECT_EQ(exported[i].second, model.layer(exported[i].first));
+  }
+  // Importing the export into a fresh model publishes the same layers and
+  // counts one epoch bump per entry; a second import adds nothing.
+  CounterModel copy(*rule);
+  for (StateId x = 0; x < model.num_states(); ++x) {
+    const StateRef s = model.state(x);
+    copy.restore_state({{s.env.begin(), s.env.end()},
+                        {s.locals.begin(), s.locals.end()},
+                        {s.decisions.begin(), s.decisions.end()}});
+  }
+  const std::uint64_t epoch = copy.cache_epoch();
+  copy.import_layer_cache(exported);
+  EXPECT_EQ(copy.cache_epoch(), epoch + exported.size());
+  copy.import_layer_cache(exported);
+  EXPECT_EQ(copy.cache_epoch(), epoch + exported.size());
+  EXPECT_EQ(copy.export_layer_cache(), exported);
 }
 
 TEST(AllBinaryInputs, EnumeratesCube) {

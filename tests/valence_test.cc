@@ -2,6 +2,9 @@
 // shared-valence graphs and the constructive Lemma 3.4.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
+
 #include "core/decision_rule.hpp"
 #include "engine/valence.hpp"
 #include "models/mobile/mobile_model.hpp"
@@ -155,6 +158,96 @@ TEST(Valence, DecidedValencesReadsNonFailedOnly) {
   const ValenceInfo v = decided_valences(model, y);
   EXPECT_FALSE(v.v0);  // 0's own decision does not witness, it is failed
   EXPECT_TRUE(v.v1);
+}
+
+// The packed memo keeps memoize()'s strongest-wins rule, observed through
+// import_memo/export_memo and memo_epoch.
+TEST(ValenceMemo, StrongestEntryWinsAndOnlyChangesBumpTheEpoch) {
+  auto rule = min_after_round(2);
+  MobileModel model(3, *rule);
+  ValenceEngine engine(model, 3);
+  const std::vector<StateId>& init = model.initial_states();
+  ASSERT_GE(init.size(), 2u);
+  const StateId x = init[0];
+  const StateId y = init[1];
+  const auto entry_of = [&](StateId id) {
+    for (const auto& e : engine.export_memo()) {
+      if (e.x == id) return e;
+    }
+    ADD_FAILURE() << "no memo entry for " << id;
+    return ValenceEngine::MemoEntry{};
+  };
+  using E = ValenceEngine::MemoEntry;
+
+  // Bivalent is sticky: a deeper univalent entry does not replace it.
+  std::uint64_t epoch = engine.memo_epoch();
+  engine.import_memo({E{x, 1, true, true, true, false}});
+  EXPECT_EQ(engine.memo_epoch(), ++epoch);
+  engine.import_memo({E{x, 3, true, false, true, false}});
+  EXPECT_EQ(engine.memo_epoch(), epoch);
+  EXPECT_TRUE(entry_of(x).v0 && entry_of(x).v1);
+  EXPECT_EQ(entry_of(x).lookahead, 1);
+
+  // A deeper lookahead wins; a shallower one does not.
+  engine.import_memo({E{y, 1, true, false, false, false}});
+  EXPECT_EQ(engine.memo_epoch(), ++epoch);
+  engine.import_memo({E{y, 2, false, true, true, false}});
+  EXPECT_EQ(engine.memo_epoch(), ++epoch);
+  engine.import_memo({E{y, 1, true, false, true, false}});
+  EXPECT_EQ(engine.memo_epoch(), epoch);
+  EXPECT_EQ(entry_of(y).lookahead, 2);
+  EXPECT_FALSE(entry_of(y).v0);
+  EXPECT_TRUE(entry_of(y).v1);
+  EXPECT_TRUE(entry_of(y).exact);
+
+  // An equal entry changes nothing, so the epoch stays.
+  engine.import_memo({E{y, 2, false, true, true, false}});
+  EXPECT_EQ(engine.memo_epoch(), epoch);
+  // Same lookahead, new flags: a change.
+  engine.import_memo({E{y, 2, false, true, false, false}});
+  EXPECT_EQ(engine.memo_epoch(), ++epoch);
+  EXPECT_FALSE(entry_of(y).exact);
+
+  // A lookahead no engine memoizes is skipped.
+  engine.import_memo({E{y, -1, true, true, true, false}});
+  EXPECT_EQ(engine.memo_epoch(), epoch);
+  EXPECT_EQ(entry_of(y).lookahead, 2);
+}
+
+// export_memo walks the ids in order, shallow memo first, so its output is
+// (deep, x)-sorted with no sort step.
+TEST(ValenceMemo, ExportIsSortedByDeepThenId) {
+  auto rule = min_after_round(2);
+  MobileModel model(3, *rule);
+  ValenceEngine engine(model, 2, Exactness::kConvergence);
+  std::vector<StateId> X(model.initial_states().rbegin(),
+                         model.initial_states().rend());
+  engine.classify_all(X);
+  const auto memo = engine.export_memo();
+  ASSERT_FALSE(memo.empty());
+  EXPECT_TRUE(std::is_sorted(
+      memo.begin(), memo.end(), [](const auto& a, const auto& b) {
+        return std::tie(a.deep, a.x) < std::tie(b.deep, b.x);
+      }));
+  EXPECT_TRUE(std::adjacent_find(memo.begin(), memo.end(),
+                                 [](const auto& a, const auto& b) {
+                                   return a.deep == b.deep && a.x == b.x;
+                                 }) == memo.end());
+  EXPECT_FALSE(memo.front().deep);
+  EXPECT_TRUE(memo.back().deep);
+  // Round trip: a fresh engine importing the export exports it verbatim.
+  ValenceEngine copy(model, 2, Exactness::kConvergence);
+  copy.import_memo(memo);
+  const auto again = copy.export_memo();
+  ASSERT_EQ(again.size(), memo.size());
+  for (std::size_t i = 0; i < memo.size(); ++i) {
+    EXPECT_EQ(again[i].x, memo[i].x);
+    EXPECT_EQ(again[i].lookahead, memo[i].lookahead);
+    EXPECT_EQ(again[i].deep, memo[i].deep);
+    EXPECT_EQ(again[i].v0, memo[i].v0);
+    EXPECT_EQ(again[i].v1, memo[i].v1);
+    EXPECT_EQ(again[i].exact, memo[i].exact);
+  }
 }
 
 }  // namespace
