@@ -43,19 +43,19 @@ run_config() {
     # (truncated/corrupt file parsing is exactly where ASan earns its keep);
     # service_test is the satellite TSan soak: concurrent socket clients
     # sharing one session's arenas, layer cache and valence memo.
-    # relation_test rides along for the guarded eccentricity-bounding
-    # diameter: its FaultSoak case trips the per-BFS guard probe at seeded
-    # points.
+    # relation_test rides along for the guarded peel-then-core diameter:
+    # its FaultSoak case trips the per-BFS guard probe at seeded points.
     # arena_test and core_test ride along for the flat intern index
     # (runtime/flat_index.hpp) under racing interns and for the lock-free
-    # layer publication (racing layer() calls on one state).
+    # layer publication (racing layer() calls on one state). valence_test
+    # rides along for the packed valence memo under the orbit quotient.
     # LACON_SYMMETRY=on puts the orbit-canonicalization memos (core/sym.hpp,
     # shared mutable state under parallel interning) on the sanitized paths;
     # the symmetry contract says results cannot change, so the suites must
     # stay green with the quotient folding wherever a model permits it.
     for soak_bin in guard_test runtime_test fuzz_test trace_test \
                     store_test service_test relation_test sym_test \
-                    arena_test core_test; do
+                    arena_test core_test valence_test; do
       LACON_FAULT_SEED="${LACON_FAULT_SEED:-20260805}" \
       LACON_FAULT_RATE="${LACON_FAULT_RATE:-0.05}" \
       LACON_TRACE=spans \

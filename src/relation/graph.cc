@@ -15,7 +15,8 @@ namespace lacon {
 namespace {
 
 constexpr std::size_t kUnreached = std::numeric_limits<std::size_t>::max();
-// BfsScratch::dist entry of a vertex the BFS did not reach.
+// No vertex and no distance: BfsScratch::dist of a vertex the BFS did not
+// reach, the core index of a peeled vertex, an unbounded hi.
 constexpr Graph::Vertex kFar = std::numeric_limits<Graph::Vertex>::max();
 
 // Unordered pairs (a, b), a < b, of {0..size-1} are flattened
@@ -37,6 +38,45 @@ std::size_t pair_row_of(std::size_t size, std::size_t k) {
     }
   }
   return lo;
+}
+
+// Buffers of bfs(), reused across sources so the allocations persist.
+struct BfsScratch {
+  std::vector<Graph::Vertex> dist;   // kFar for unreached vertices
+  std::vector<Graph::Vertex> order;  // vertices in visiting order
+};
+
+// Level-synchronous BFS from `source` over a CSR (row offsets into one flat
+// neighbor array): each level is a contiguous run of `order`, and the next
+// level is appended behind it. Fills s.dist and s.order and returns the
+// number of vertices reached, so order[0, reached) holds them by
+// nondecreasing distance.
+std::size_t bfs(const std::vector<std::size_t>& offsets,
+                const std::vector<Graph::Vertex>& adj, std::size_t source,
+                BfsScratch& s) {
+  const std::size_t n = offsets.size() - 1;
+  s.dist.assign(n, kFar);
+  s.order.resize(n);
+  s.dist[source] = 0;
+  s.order[0] = static_cast<Graph::Vertex>(source);
+  std::size_t head = 0;
+  std::size_t tail = 1;
+  for (Graph::Vertex level = 1; head < tail; ++level) {
+    // order[head, level_end) is the current level; its fresh neighbors are
+    // appended behind it as the next one.
+    const std::size_t level_end = tail;
+    for (; head < level_end; ++head) {
+      const Graph::Vertex v = s.order[head];
+      for (std::size_t e = offsets[v]; e < offsets[v + 1]; ++e) {
+        const Graph::Vertex w = adj[e];
+        if (s.dist[w] == kFar) {
+          s.dist[w] = level;
+          s.order[tail++] = w;
+        }
+      }
+    }
+  }
+  return tail;
 }
 
 }  // namespace
@@ -123,40 +163,11 @@ std::span<const Graph::Vertex> Graph::neighbors(std::size_t v) const {
                                  offsets_[v + 1] - offsets_[v]);
 }
 
-std::size_t Graph::bfs(std::size_t source, BfsScratch& s) const {
-  const std::size_t n = size();
-  s.dist.assign(n, kFar);
-  s.order.resize(n);
-  s.dist[source] = 0;
-  s.order[0] = static_cast<Vertex>(source);
-  std::size_t head = 0;
-  std::size_t tail = 1;
-  Vertex level = 0;
-  while (true) {
-    // order[head, level_end) is the current level; its fresh neighbors are
-    // appended behind it as the next one.
-    const std::size_t level_end = tail;
-    for (; head < level_end; ++head) {
-      const Vertex v = s.order[head];
-      for (std::size_t e = offsets_[v]; e < offsets_[v + 1]; ++e) {
-        const Vertex w = csr_[e];
-        if (s.dist[w] == kFar) {
-          s.dist[w] = level + 1;
-          s.order[tail++] = w;
-        }
-      }
-    }
-    if (tail == level_end) break;
-    ++level;
-  }
-  return tail == n ? level : kUnreached;
-}
-
 bool Graph::connected() const {
   if (size() <= 1) return true;
   ensure_csr();
   BfsScratch scratch;
-  return bfs(0, scratch) != kUnreached;
+  return bfs(offsets_, csr_, 0, scratch) == size();
 }
 
 std::vector<std::size_t> Graph::components() const {
@@ -192,22 +203,98 @@ guard::Partial<std::optional<std::size_t>> Graph::diameter(
   auto& stats = runtime::Stats::global();
   runtime::ScopedTimer timer(stats.timer("relation.diameter_time"));
   LACON_TRACE_PHASE("relation", "diameter", n);
-  // Eccentricity bounding (Takes & Kosters 2011): every vertex keeps
-  // lo[v] <= ecc(v) <= hi[v]. A BFS from s with eccentricity e tightens them
-  // to max(d, e - d) and e + d, d = dist(s, v). A vertex is settled once
-  // hi[v] <= best, the largest eccentricity seen: it cannot raise the
-  // maximum. When none is left active, best is exactly the diameter. The
-  // sources alternate between the active vertex of largest hi (a likely
-  // periphery vertex, raising best) and of smallest lo (a likely centre,
-  // lowering every hi); ties go to the lowest index, so the sequence — and
-  // hence any truncation point — depends on the graph alone.
-  std::vector<Vertex> lo(n, 0);
-  std::vector<Vertex> hi(n, kFar);
-  std::vector<Vertex> active(n);  // ascending vertex order, kept stable
-  for (std::size_t v = 0; v < n; ++v) active[v] = static_cast<Vertex>(v);
+  if (g.tripped()) {
+    out.truncation = g.reason();
+    return out;
+  }
+
+  // Phase 1, the peel: repeatedly remove vertices of degree 1. Each removed
+  // vertex hangs on the neighbor left when it goes, so the removed vertices
+  // form a pendant forest whose roots are either 2-core vertices or, for a
+  // component that is a pure tree, its last vertex (left with degree 0).
+  // height[v] is the depth of the deepest pendant vertex below v, and
+  // weight[v] counts v plus its pendant vertices. Each branch hung on a
+  // vertex closes a path with the deepest branch hung there before it, so
+  // `best` sees the longest path inside every pendant tree.
+  std::vector<Vertex> degree(n);
+  std::vector<Vertex> height(n, 0);
+  std::vector<Vertex> weight(n, 1);
+  std::vector<Vertex> peeled;  // removal order
+  for (std::size_t v = 0; v < n; ++v) {
+    degree[v] = static_cast<Vertex>(offsets_[v + 1] - offsets_[v]);
+    if (degree[v] <= 1) peeled.push_back(static_cast<Vertex>(v));
+  }
+  std::size_t best = 0;  // the longest path found so far
+  Vertex tree_root = 0;
+  for (std::size_t i = 0; i < peeled.size(); ++i) {
+    const Vertex v = peeled[i];
+    if (degree[v] == 0) {  // the last vertex of a tree component
+      tree_root = v;
+      continue;
+    }
+    degree[v] = 0;  // removed; its one remaining neighbor has degree > 0
+    Vertex parent = 0;
+    for (std::size_t e = offsets_[v]; e < offsets_[v + 1]; ++e) {
+      if (degree[csr_[e]] > 0) parent = csr_[e];
+    }
+    weight[parent] += weight[v];
+    const Vertex branch = height[v] + 1;
+    best = std::max<std::size_t>(best, height[parent] + branch);
+    height[parent] = std::max(height[parent], branch);
+    if (--degree[parent] == 1) peeled.push_back(parent);
+  }
+  if (peeled.size() == n) {
+    // A forest: connected exactly when one tree holds every vertex.
+    out.completed = n;
+    if (weight[tree_root] == n) out.value = best;
+    return out;
+  }
+
+  // Phase 2, the core: relabel the 2-core densely, in ascending vertex
+  // order, and build its CSR.
+  std::vector<Vertex> core_index(n, kFar);
+  std::vector<Vertex> core;
+  for (std::size_t v = 0; v < n; ++v) {
+    if (degree[v] >= 2) {
+      core_index[v] = static_cast<Vertex>(core.size());
+      core.push_back(static_cast<Vertex>(v));
+    }
+  }
+  const std::size_t c = core.size();
+  std::vector<std::size_t> core_offsets(c + 1, 0);
+  std::vector<Vertex> core_adj;
+  std::vector<Vertex> h(c);  // height and weight, by core index
+  std::vector<Vertex> w(c);
+  for (std::size_t i = 0; i < c; ++i) {
+    const Vertex v = core[i];
+    for (std::size_t e = offsets_[v]; e < offsets_[v + 1]; ++e) {
+      if (core_index[csr_[e]] != kFar) core_adj.push_back(core_index[csr_[e]]);
+    }
+    core_offsets[i + 1] = core_adj.size();
+    h[i] = height[v];
+    w[i] = weight[v];
+  }
+
+  // Any longest shortest path either stays inside one pendant tree (the
+  // peel measured those) or joins the pendant trees of two core vertices
+  // s != u, with length g(s) = h(s) + f(s), f(s) = max over u != s of
+  // d(s, u) + h(u). Eccentricity bounding (Takes & Kosters 2011) finds the
+  // largest g: every core vertex keeps lo[v] <= g(v) <= hi[v]. A BFS from s
+  // gives g(s) and, with d = d(s, v), tightens them to lo[v] >= h(v) + d +
+  // h(s) and hi[v] <= h(v) + max(f(s), h(s)) + d (f is 1-Lipschitz). The
+  // source is settled outright; any other vertex once hi[v] <= best, as it
+  // cannot raise the maximum. When none is left active, best is exactly the
+  // diameter. The sources alternate between the active vertex of largest
+  // hi (a likely periphery vertex, raising best) and of smallest lo (a
+  // likely centre, lowering every hi); ties go to the lowest index, so the
+  // sequence — and hence any truncation point — depends on the graph alone.
+  std::vector<Vertex> lo(c, 0);
+  std::vector<Vertex> hi(c, kFar);
+  std::vector<Vertex> active(c);  // ascending core order, kept stable
+  for (std::size_t i = 0; i < c; ++i) active[i] = static_cast<Vertex>(i);
   BfsScratch scratch;
-  std::size_t best = 0;
   std::size_t runs = 0;
+  std::size_t settled = 0;  // vertices settled, pendant trees included
   while (!active.empty() && !g.tripped()) {
     Vertex source = active.front();
     for (const Vertex v : active) {
@@ -215,27 +302,41 @@ guard::Partial<std::optional<std::size_t>> Graph::diameter(
         source = v;
       }
     }
-    const std::size_t e = bfs(source, scratch);
+    const std::size_t reached = bfs(core_offsets, core_adj, source, scratch);
     ++runs;
-    if (e == kUnreached) {
-      // One BFS that misses a vertex proves disconnection; the answer
-      // cannot change, so report it complete.
+    std::size_t f = 0;
+    std::size_t covered = w[source];
+    for (std::size_t k = 1; k < reached; ++k) {
+      const Vertex u = scratch.order[k];
+      f = std::max<std::size_t>(f, scratch.dist[u] + h[u]);
+      covered += w[u];
+    }
+    if (covered < n) {
+      // The BFS and the pendant trees it reached miss a vertex: the graph
+      // is disconnected, and the answer cannot change, so report it
+      // complete.
       stats.counter("relation.diameter_sources").add(runs);
       out.completed = n;
       return out;
     }
-    best = std::max(best, e);
+    best = std::max(best, h[source] + f);
+    const std::size_t reach = std::max<std::size_t>(f, h[source]);
     std::size_t kept = 0;
     for (const Vertex v : active) {
       const Vertex d = scratch.dist[v];
-      lo[v] = std::max({lo[v], d, static_cast<Vertex>(e - d)});
-      hi[v] = static_cast<Vertex>(std::min<std::size_t>(hi[v], e + d));
-      if (hi[v] > best) active[kept++] = v;
+      lo[v] = std::max(lo[v], h[v] + d + h[source]);
+      hi[v] = static_cast<Vertex>(
+          std::min<std::size_t>(hi[v], h[v] + reach + d));
+      if (v != source && hi[v] > best) {
+        active[kept++] = v;
+      } else {
+        settled += w[v];
+      }
     }
     active.resize(kept);
   }
   stats.counter("relation.diameter_sources").add(runs);
-  out.completed = n - active.size();
+  out.completed = settled;
   out.truncation = g.reason();
   if (runs > 0) out.value = best;  // no BFS finished -> no bound at all
   return out;
@@ -249,7 +350,7 @@ std::optional<std::size_t> Graph::diameter() const {
 std::optional<std::size_t> Graph::distance(std::size_t a, std::size_t b) const {
   ensure_csr();
   BfsScratch scratch;
-  bfs(a, scratch);
+  bfs(offsets_, csr_, a, scratch);
   if (scratch.dist[b] == kFar) return std::nullopt;
   return scratch.dist[b];
 }
@@ -259,7 +360,7 @@ std::vector<std::size_t> Graph::shortest_path(std::size_t a,
   // BFS from b so we can walk a -> b by strictly decreasing distance.
   ensure_csr();
   BfsScratch scratch;
-  bfs(b, scratch);
+  bfs(offsets_, csr_, b, scratch);
   const std::vector<Vertex>& dist = scratch.dist;
   if (dist[a] == kFar) return {};
   std::vector<std::size_t> path = {a};

@@ -64,21 +64,24 @@ class Graph {
   std::vector<std::size_t> components() const;
 
   // Diameter of the graph: the largest BFS eccentricity, computed exactly
-  // by eccentricity bounding — BFS from a few sources until per-vertex
-  // bounds settle every vertex (graph.cc). Serial, so the BFS sequence and
-  // the result are the same for every worker count. nullopt when the graph
-  // is disconnected (infinite diameter) or empty. Applies the process-wide
-  // guard spec, if one is set.
+  // in two phases (graph.cc): peel the pendant trees off in one linear
+  // pass, then bound eccentricities over the remaining 2-core with a few
+  // BFS runs. Serial, so the BFS sequence and the result are the same for
+  // every worker count. nullopt when the graph is disconnected (infinite
+  // diameter) or empty. Applies the process-wide guard spec, if one is set.
   std::optional<std::size_t> diameter() const;
 
-  // Guarded diameter; the guard is probed before each BFS. `completed`
-  // counts settled vertices — BFS sources plus vertices pruned by their
-  // bounds, not a prefix of the vertex space — and equals size() on a
-  // complete run. A truncated result's engaged value is the largest
-  // eccentricity found so far, a lower bound on the true diameter; no
-  // value when no BFS finished. The first BFS that misses a vertex proves
-  // the graph disconnected: that answer (nullopt) is conclusive and
-  // reported complete even if the guard also tripped.
+  // Guarded diameter; the guard is probed before the peel and before each
+  // core BFS. `completed` counts settled vertices — settled core vertices
+  // (BFS sources plus vertices pruned by their bounds) together with the
+  // pendant trees hanging on them, not a prefix of the vertex space — and
+  // equals size() on a complete run. A truncated result's engaged value is
+  // the largest path length found so far, a lower bound on the true
+  // diameter; no value when no BFS finished. Disconnection is conclusive
+  // and reported complete even if the guard also tripped: a forest with
+  // more than one tree is known after the peel, any other disconnected
+  // graph after the first core BFS, which reaches fewer than size()
+  // vertices counting the pendant trees of the core vertices it reached.
   guard::Partial<std::optional<std::size_t>> diameter(
       const guard::Guard& g) const;
 
@@ -89,21 +92,9 @@ class Graph {
   std::vector<std::size_t> shortest_path(std::size_t a, std::size_t b) const;
 
  private:
-  // Buffers of bfs(), reused across sources so the allocations persist.
-  struct BfsScratch {
-    std::vector<Vertex> dist;   // max Vertex for unreached vertices
-    std::vector<Vertex> order;  // vertices in visiting order, level by level
-  };
-
   // Rebuilds offsets_/csr_ from edge_list_ if edges were added since the
   // last build. Counting pass over degrees, prefix-sum, cursor fill.
   void ensure_csr() const;
-
-  // Level-synchronous BFS from `source` over the CSR rows: each level is a
-  // contiguous run of `order`, and the next level is appended behind it.
-  // Fills s.dist and returns the eccentricity of `source`, or SIZE_MAX
-  // when some vertex is unreachable. Requires a finalized CSR.
-  std::size_t bfs(std::size_t source, BfsScratch& s) const;
 
   std::size_t size_ = 0;
   std::vector<Edge> edge_list_;

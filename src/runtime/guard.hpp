@@ -62,11 +62,11 @@ const char* to_string(TruncationReason reason) noexcept;
 
 // A possibly-truncated result. `completed` counts whole units of work —
 // layers for the exploration, classified entries for classify_all,
-// settled vertices for diameter() (BFS sources plus vertices pruned by
-// their eccentricity bounds — not a prefix of the vertex space), confirmed
-// candidate pairs for the similarity index — and `value` always reflects
-// exactly those units: a truncated exploration holds complete levels only,
-// a truncated classification holds a valid prefix.
+// settled vertices for diameter() (settled 2-core vertices with the
+// pendant trees hanging on them — not a prefix of the vertex space),
+// confirmed candidate pairs for the similarity index — and `value` always
+// reflects exactly those units: a truncated exploration holds complete
+// levels only, a truncated classification holds a valid prefix.
 template <typename T>
 struct Partial {
   T value{};

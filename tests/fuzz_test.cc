@@ -288,5 +288,99 @@ TEST(FuzzDiameter, BoundedSearchEqualsAllSourcesOracle) {
   expect_diameter_matches_oracle(relabeled(2, {{0, 1}}, rng), "K2");
 }
 
+// Pendant-heavy families for the peel-then-core search: the diameter of
+// each either stays inside one pendant tree or joins the trees of two core
+// vertices, so every family mixes long tails with small cyclic cores.
+TEST(FuzzDiameter, PendantStructureEqualsAllSourcesOracle) {
+  // A cycle on vertices [first, first + size), size >= 3.
+  const auto cycle_edges = [](std::size_t first, std::size_t size) {
+    EdgeList e;
+    for (std::size_t v = 0; v < size; ++v) {
+      e.emplace_back(first + v, first + (v + 1) % size);
+    }
+    return e;
+  };
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    Rng rng(seed);
+    const std::string tag = " seed " + std::to_string(seed);
+
+    // Caterpillar: a spine with 0..3 legs of length 1..3 per spine vertex.
+    const std::size_t spine = 1 + rng.below(12);
+    EdgeList caterpillar = path_edges(spine);
+    std::size_t size = spine;
+    for (std::size_t v = 0; v < spine; ++v) {
+      for (std::size_t leg = rng.below(4); leg > 0; --leg) {
+        std::size_t at = v;
+        for (std::size_t len = 1 + rng.below(3); len > 0; --len) {
+          caterpillar.emplace_back(at, size);
+          at = size++;
+        }
+      }
+    }
+    expect_diameter_matches_oracle(relabeled(size, caterpillar, rng),
+                                   "caterpillar" + tag);
+
+    // Lollipop: a cycle with a path tail; the tail may be longer or
+    // shorter than the cycle.
+    const std::size_t ring = 3 + rng.below(10);
+    const std::size_t tail = 1 + rng.below(15);
+    EdgeList lollipop = cycle_edges(0, ring);
+    for (std::size_t v = ring; v < ring + tail; ++v) {
+      lollipop.emplace_back(v - 1, v);
+    }
+    expect_diameter_matches_oracle(relabeled(ring + tail, lollipop, rng),
+                                   "lollipop" + tag);
+
+    // A cycle with random trees hung on random cycle vertices.
+    EdgeList hung = cycle_edges(0, ring);
+    size = ring;
+    for (std::size_t t = rng.below(5); t > 0; --t) {
+      const std::size_t tree = 1 + rng.below(8);
+      const EdgeList edges = tree_edges(size, tree, rng);
+      hung.insert(hung.end(), edges.begin(), edges.end());
+      hung.emplace_back(rng.below(ring), size);
+      size += tree;
+    }
+    expect_diameter_matches_oracle(relabeled(size, hung, rng),
+                                   "hung trees" + tag);
+
+    // Two cycles joined by a path (a barbell); a path of 0 edges shares a
+    // vertex, so the core is one figure eight.
+    const std::size_t ring2 = 3 + rng.below(10);
+    const std::size_t bridge = rng.below(6);
+    EdgeList barbell = cycle_edges(0, ring);
+    const std::size_t start2 = ring - 1 + bridge;
+    for (std::size_t v = ring; v <= start2; ++v) barbell.emplace_back(v - 1, v);
+    const EdgeList second = cycle_edges(start2, ring2);
+    barbell.insert(barbell.end(), second.begin(), second.end());
+    expect_diameter_matches_oracle(relabeled(start2 + ring2, barbell, rng),
+                                   "barbell" + tag);
+
+    // A tree component beside a cyclic one: the core BFS cannot see the
+    // tree, so only the count of reached vertices proves disconnection.
+    const std::size_t tree = 1 + rng.below(8);
+    EdgeList split = tree_edges(0, tree, rng);
+    const EdgeList cyclic = cycle_edges(tree, ring);
+    split.insert(split.end(), cyclic.begin(), cyclic.end());
+    split.emplace_back(tree, tree + ring);  // one pendant on the cycle
+    const Graph disconnected = relabeled(tree + ring + 1, split, rng);
+    expect_diameter_matches_oracle(disconnected, "tree beside cycle" + tag);
+    const CountedDiameter d = counted_diameter(disconnected);
+    EXPECT_FALSE(d.result.value.has_value()) << tag;
+    EXPECT_TRUE(d.result.complete()) << tag;
+    EXPECT_LE(d.bfs_runs, 1u) << tag;
+  }
+
+  // Tiny graphs, and a doubled edge, whose 2-core has two vertices.
+  Rng rng(0);
+  expect_diameter_matches_oracle(relabeled(1, {}, rng), "n=1");
+  expect_diameter_matches_oracle(relabeled(2, {{0, 1}}, rng), "n=2");
+  expect_diameter_matches_oracle(relabeled(2, {{0, 1}, {0, 1}}, rng),
+                                 "doubled K2");
+  expect_diameter_matches_oracle(
+      relabeled(5, {{0, 1}, {0, 1}, {1, 2}, {2, 3}, {0, 4}}, rng),
+      "doubled edge with tails");
+}
+
 }  // namespace
 }  // namespace lacon

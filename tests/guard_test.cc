@@ -432,12 +432,10 @@ TEST(GuardedDiameterTest, DisconnectionEvidenceIsConclusive) {
 }
 
 // A deterministic kGuardBudget trip mid-search: the guard is probed once
-// before each BFS, serially, so the trip lands at the same probe — hence the
-// same settled count and the same lower bound — at every worker count.
-TEST(GuardedDiameterTest, MidSearchTripIsADeterministicLowerBound) {
-  auto rule = min_after_round(2);
-  auto model = make_model(ModelKind::kMobile, 3, 1, *rule);
-  const Graph g = similarity_graph(*model, reachable_by_depth(*model, 2)[2]);
+// before the peel and once before each BFS, serially, so the trip lands at
+// the same probe — hence the same settled count and the same lower bound —
+// at every worker count.
+void expect_mid_search_trip_is_deterministic(const Graph& g) {
   const auto truth = all_sources_diameter(g);
   ASSERT_TRUE(truth.has_value());
 
@@ -456,6 +454,22 @@ TEST(GuardedDiameterTest, MidSearchTripIsADeterministicLowerBound) {
     seen.emplace_back(partial.value, partial.completed);
   }
   EXPECT_EQ(seen[0], seen[1]);
+}
+
+TEST(GuardedDiameterTest, MidSearchTripIsADeterministicLowerBound) {
+  auto rule = min_after_round(2);
+  auto model = make_model(ModelKind::kMobile, 3, 1, *rule);
+  expect_mid_search_trip_is_deterministic(
+      similarity_graph(*model, reachable_by_depth(*model, 2)[2]));
+}
+
+// The same on mobile n=4, depth 2 (2704 states, 960 of them in pendant
+// trees): a trip leaves settled core vertices with their pendant trees.
+TEST(GuardedDiameterTest, MidSearchTripOnPendantHeavyGraph) {
+  auto rule = min_after_round(2);
+  auto model = make_model(ModelKind::kMobile, 4, 1, *rule);
+  expect_mid_search_trip_is_deterministic(
+      similarity_graph(*model, reachable_by_depth(*model, 2)[2]));
 }
 
 TEST(GuardedSimilarityTest, GenerousGuardMatchesUnguardedGraph) {

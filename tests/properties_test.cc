@@ -15,10 +15,12 @@ namespace lacon {
 namespace {
 
 // Lemma 3.6's chain gives s-diameter(Con_0) = n exactly: the hypercube of
-// input assignments under the Hamming-distance-1 relation.
+// input assignments under the Hamming-distance-1 relation. The cube has no
+// pendant vertices, so the whole graph is the 2-core the diameter search
+// bounds over.
 TEST(Properties, Con0SDiameterEqualsN) {
   auto rule = never_decide();
-  for (int n : {2, 3, 4}) {
+  for (int n : {2, 3, 4, 5, 6, 7, 8}) {
     for (ModelKind kind : {ModelKind::kMobile, ModelKind::kSharedMem,
                            ModelKind::kMsgPass, ModelKind::kSync}) {
       if (kind == ModelKind::kSync && n < 3) continue;
